@@ -95,13 +95,8 @@ def assemble_dual_sdp(obs: Observation, lam: float) -> sdp.SdpProblem:
         raise ValueError("lam must be positive")
     m, d = obs.m, obs.d
     n = m + 1
-    # subdiagonal-sum coefficients for one Gram block
-    rows = np.concatenate([np.full(n - k, k) for k in range(n)])
-    ii = np.concatenate([np.arange(k, n) for k in range(n)])
-    jj = np.concatenate([np.arange(0, n - k) for k in range(n)])
-    vals = np.ones(rows.size)
-    block1 = (rows, ii, jj, vals)
-    block2 = (rows + n, ii, jj, vals)
+    block1 = sdp.ToeplitzEntries(np.arange(n), np.ones(n))
+    block2 = sdp.ToeplitzEntries(np.arange(n, 2 * n), np.ones(n))
 
     scale = np.full(n, 1.0 / np.sqrt(2.0))
     scale[0] = 1.0

@@ -149,6 +149,9 @@ def _spline_from_target(cfg: dict, rng) -> NonUniformSpline:
 
 
 def run_recover_spikes(cfg: dict) -> dict:
+    if "sigma0" in cfg:
+        raise ConfigError("recover-spikes takes the moment noise level "
+                          "'sigma'; 'sigma0' applies to recover-spline only")
     out = _out_dir(cfg)
     m = int(_require(cfg, "m"))
     d = int(cfg.get("d", -1))
@@ -353,11 +356,14 @@ def run_sweep(cfg: dict) -> dict:
     mode = base.get("mode", "recover-spline")
     if mode not in ("recover-spline", "recover-spikes"):
         raise ConfigError(f"sweep base mode {mode!r} not supported")
+    if mode == "recover-spikes" and (axis == "sigma0" or "sigma0" in base):
+        raise ConfigError("a recover-spikes sweep cannot set 'sigma0'; "
+                          "it applies to recover-spline only")
     seed = cfg.get("seed", 0)
     rows = []
     for idx, value in enumerate(values):
         sub = dict(base)
-        sub[axis if axis != "lambda" else "lambda"] = value
+        sub[axis] = value
         sub["seed"] = seed + idx
         sub["out_dir"] = str(out / f"run_{idx:03d}")
         ok = True

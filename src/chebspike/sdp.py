@@ -12,8 +12,12 @@ a Mehrotra predictor-corrector step.  Each Newton system is reduced to a
 dense Schur complement over the constraint multipliers, so the per-iteration
 cost is a handful of dense factorizations and level-3 BLAS products on
 matrices of the block dimensions; intended for dimensions up to a few
-hundred.  The method is deterministic: identical inputs produce identical
-iterates.
+hundred.  A block declared as `ToeplitzEntries` (constraint k reads the k-th
+subdiagonal sum, the trace parameterization of a nonnegative cosine
+polynomial) forms its Schur contribution from one FFT autocorrelation of the
+scaling matrix, O(n^2 log n) for an n x n block; a block given as sparse
+triplets costs one O(n^3) product per constraint it touches.  The method
+is deterministic: identical inputs produce identical iterates.
 
 Dual pair used internally (Z_b are the multipliers of the PSD constraints,
 nu of the equalities)::
@@ -46,6 +50,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.linalg as sla
 import scipy.sparse as sp
 
@@ -60,13 +65,37 @@ class SdpError(Exception):
     """Structural problem with the conic program or a failed solve."""
 
 
+class ToeplitzEntries:
+    """Constraint data of an n x n block in trace form: row rows[k] gains
+    coeffs[k] times the sum of the k-th subdiagonal of X_b, k = 0 .. n-1.
+
+    Unpacking it gives the equivalent (row, i, j, val) triplets, so it can
+    be read wherever a triplet tuple is expected.
+    """
+
+    def __init__(self, rows, coeffs):
+        self.rows = np.atleast_1d(np.asarray(rows)).astype(int)
+        self.coeffs = np.atleast_1d(np.asarray(coeffs)).astype(float)
+        if self.rows.shape != self.coeffs.shape or self.rows.ndim != 1:
+            raise SdpError("Toeplitz rows and coeffs must be equal-length vectors")
+        if np.unique(self.rows).size != self.rows.size:
+            raise SdpError("Toeplitz constraint rows must be distinct")
+
+    def __iter__(self):
+        n = self.rows.size
+        k = np.concatenate([np.full(n - d, d) for d in range(n)])
+        i = np.concatenate([np.arange(d, n) for d in range(n)])
+        return iter((self.rows[k], i, i - k, self.coeffs[k]))
+
+
 @dataclass
 class SdpProblem:
     """Conic program data.
 
-    block_entries[b] is a tuple of four equal-length integer/float arrays
-    (row, i, j, val): constraint `row` gains the term val * X_b[i, j]
-    (specifying one triangle is enough, the blocks are symmetric).
+    block_entries[b] is either a tuple of four equal-length integer/float
+    arrays (row, i, j, val), where constraint `row` gains the term
+    val * X_b[i, j] (specifying one triangle is enough, the blocks are
+    symmetric), or a ToeplitzEntries of length n_b.
     free_coeffs is the dense (p, free_dim) matrix F, quad the PSD quadratic
     form on the free block and lin its linear term.
     """
@@ -90,6 +119,13 @@ class SdpProblem:
             raise SdpError("one entry tuple needed per PSD block")
         entries = []
         for n, ent in zip(dims, self.block_entries):
+            if isinstance(ent, ToeplitzEntries):
+                if ent.rows.size != n:
+                    raise SdpError(f"Toeplitz block of size {n} needs {n} rows")
+                if ent.rows.min() < 0 or ent.rows.max() >= p:
+                    raise SdpError("constraint row index out of range")
+                entries.append(ent)
+                continue
             row, i, j, val = (np.atleast_1d(np.asarray(a)) for a in ent)
             if not (row.size == i.size == j.size == val.size):
                 raise SdpError("block entry arrays must have equal length")
@@ -180,14 +216,51 @@ class _Block:
         return 0.5 * (M + M.T)
 
     def schur(self, W: np.ndarray) -> tuple:
-        """Columns (over active constraints) of tr(A_r W A_l W)."""
+        """(active rows, tr(A_r W A_l W) over active r, l)."""
         n = self.n
         Mstack = np.empty((self.active.size, n * n))
         for k in range(self.active.size):
             B = W[:, self.seg_i[k]] @ (self.seg_v[k][:, None] * W[self.seg_j[k], :])
             Mstack[k] = B.ravel()
         cols = self.E @ Mstack.T
-        return self.active, np.asarray(cols)
+        return self.active, np.asarray(cols)[self.active]
+
+
+class _ToeplitzBlock:
+    """Compiled ToeplitzEntries: A_k = v_k (E_k + E_-k) / 2, where E_d has
+    ones where row - column = d, so <A_k, X> = v_k * (k-th subdiagonal sum)."""
+
+    def __init__(self, n: int, rows, coeffs, p: int):
+        self.n, self.p = n, p
+        self.active = rows
+        self.v = coeffs
+        idx = np.arange(n)
+        # X.ravel()[a] lies on the diagonal row - column = offset[a] - (n-1)
+        self.offset = (idx[:, None] - idx[None, :] + n - 1).ravel()
+        # lags run over -(n-1) .. n-1, so any FFT size >= 2n-1 is exact
+        self.fft_len = sfft.next_fast_len(2 * n - 1, real=True)
+        self.neg = -idx % self.fft_len
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        n = self.n
+        s = np.bincount(self.offset, weights=X.ravel(), minlength=2 * n - 1)
+        out = np.zeros(self.p)
+        out[self.active] = self.v * 0.5 * (s[n - 1:] + s[n - 1::-1])
+        return out
+
+    def adjoint(self, nu: np.ndarray) -> np.ndarray:
+        t = 0.5 * self.v * nu[self.active]
+        t[0] *= 2.0
+        return sla.toeplitz(t)
+
+    def schur(self, W: np.ndarray) -> tuple:
+        """tr(E_d W E_e W) = c[d, -e] with c the 2-D autocorrelation of W;
+        c[-d, -e] = c[d, e] folds the four terms of each A_k, A_l pair."""
+        n, s = self.n, (self.fft_len, self.fft_len)
+        F = np.fft.rfft2(W, s=s)
+        c = np.fft.irfft2(F.real ** 2 + F.imag ** 2, s=s)
+        H = 0.5 * (c[:n, :n] + c[:n, self.neg])
+        return self.active, self.v[:, None] * H * self.v[None, :]
 
 
 def problem_to_text(prob: SdpProblem) -> str:
@@ -210,8 +283,9 @@ def problem_to_text(prob: SdpProblem) -> str:
 
 
 def _nt_scaling(X: np.ndarray, Z: np.ndarray):
-    """NT scaling point: returns (R, Rinv, W, sv) with W Z W = X,
-    X = R diag(sv) R', Z = Rinv' diag(sv) Rinv."""
+    """NT scaling point: returns (R, Rinv, W, sv, Lx, Lz) with W Z W = X,
+    X = R diag(sv) R', Z = Rinv' diag(sv) Rinv, and Lx, Lz the Cholesky
+    factors of X and Z."""
     Lx = _chol(X)
     Lz = _chol(Z)
     U, sv, Vt = np.linalg.svd(Lz.T @ Lx)
@@ -219,7 +293,7 @@ def _nt_scaling(X: np.ndarray, Z: np.ndarray):
     R = Lx @ (Vt.T / sq[None, :])
     Rinv = (U / sq[None, :]).T @ Lz.T
     W = R @ R.T
-    return R, Rinv, 0.5 * (W + W.T), sv
+    return R, Rinv, 0.5 * (W + W.T), sv, Lx, Lz
 
 
 def _chol(M: np.ndarray) -> np.ndarray:
@@ -231,6 +305,16 @@ def _chol(M: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             jitter = max(1e-14 * base, 10.0 * jitter)
     raise SdpError("block lost positive definiteness")
+
+
+def _kkt_solve(lu, K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve K sol = rhs from the LU factors of K (or of K regularized) with
+    two steps of iterative refinement.  Non-finite values are passed
+    through, not raised, for the caller to treat as the numerical floor."""
+    sol = sla.lu_solve(lu, rhs, check_finite=False)
+    for _ in range(2):
+        sol += sla.lu_solve(lu, rhs - K @ sol, check_finite=False)
+    return sol
 
 
 def _max_step(L: np.ndarray, D: np.ndarray) -> float:
@@ -299,8 +383,13 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     Q = prob.quad * (s_var / s_obj)
     q = prob.lin / s_obj
 
-    blocks = [_Block(n, row, i, j, val / row_scale[row], p)
-              for n, (row, i, j, val) in zip(dims, prob.block_entries)]
+    blocks = []
+    for n, ent in zip(dims, prob.block_entries):
+        if isinstance(ent, ToeplitzEntries):
+            blocks.append(_ToeplitzBlock(n, ent.rows, ent.coeffs / row_scale[ent.rows], p))
+        else:
+            row, i, j, val = ent
+            blocks.append(_Block(n, row, i, j, val / row_scale[row], p))
 
     X = [np.eye(n) for n in dims]
     Z = [np.eye(n) for n in dims]
@@ -358,7 +447,9 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             status = SdpStatus.SOLVED
             break
         if gap <= 0.0 or mu < 1e-17 * (1.0 + abs(pobj())):
-            break  # numerical floor; classify from the best iterate below
+            # numerical floor; classify from the best iterate below
+            log[-1]["stop"] = "numerical floor"
+            break
         if rel_rp < 0.9 * best_rp:
             best_rp = rel_rp
             stall = 0
@@ -371,9 +462,9 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         # NT scalings and Schur complement
         scal = [_nt_scaling(Xb, Zb) for Xb, Zb in zip(X, Z)]
         H = np.zeros((p, p))
-        for blk, (R, Rinv, W, sv) in zip(blocks, scal):
-            act, cols = blk.schur(W)
-            H[:, act] += cols
+        for blk, (R, Rinv, W, sv, _, _) in zip(blocks, scal):
+            act, Hb = blk.schur(W)
+            H[np.ix_(act, act)] += Hb
         H = 0.5 * (H + H.T)
         K0 = np.zeros((p + f, p + f))
         K0[:p, :p] = H
@@ -403,17 +494,12 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         if lu is None:
             raise SdpError("KKT system is numerically singular")
 
-        def kkt_solve(rhs):
-            sol = sla.lu_solve(lu, rhs)
-            for _ in range(2):
-                sol += sla.lu_solve(lu, rhs - K0 @ sol)
-            return sol
-
         def newton(sigma_mu, corr):
-            """Direction for target sigma*mu, optional corrector matrices."""
+            """Direction for target sigma*mu, optional corrector matrices;
+            None when roundoff made it non-finite."""
             D = []
             g1 = r_p.copy()
-            for b, (blk, (R, Rinv, W, sv)) in enumerate(zip(blocks, scal)):
+            for b, (blk, (R, Rinv, W, sv, _, _)) in enumerate(zip(blocks, scal)):
                 Zinv = (R / sv[None, :]) @ R.T
                 Db = sigma_mu * Zinv - X[b] - W @ r_c[b] @ W
                 if corr is not None:
@@ -421,20 +507,26 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
                 D.append(Db)
                 g1 -= blk.apply(Db)
             rhs = np.concatenate([g1, -r_d]) if f else g1
-            sol = kkt_solve(rhs)
+            sol = _kkt_solve(lu, K0, rhs)
+            if not np.all(np.isfinite(sol)):
+                return None
             dnu, dx = sol[:p], sol[p:]
             dZ = [rc - blk.adjoint(dnu) for rc, blk in zip(r_c, blocks)]
             dX = []
-            for b, (blk, (R, Rinv, W, sv)) in enumerate(zip(blocks, scal)):
+            for b, (blk, (R, Rinv, W, sv, _, _)) in enumerate(zip(blocks, scal)):
                 M = D[b] + W @ blk.adjoint(dnu) @ W
                 dX.append(0.5 * (M + M.T))
             return dX, dZ, dx, dnu
 
-        Lx = [_chol(Xb) for Xb in X]
-        Lz = [_chol(Zb) for Zb in Z]
+        Lx = [sc[4] for sc in scal]
+        Lz = [sc[5] for sc in scal]
 
         # predictor
-        dXa, dZa, dxa, dnua = newton(0.0, None)
+        step = newton(0.0, None)
+        if step is None:
+            log[-1]["stop"] = "non-finite direction"
+            break
+        dXa, dZa, dxa, dnua = step
         ap = min([1.0] + [_max_step(L, D) for L, D in zip(Lx, dXa)])
         ad = min([1.0] + [_max_step(L, D) for L, D in zip(Lz, dZa)])
         gap_aff = sum(float(np.tensordot(Xb + ap * dxb, Zb + ad * dzb))
@@ -443,12 +535,16 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
         # corrector with second-order term in the scaled space
         corr = []
-        for (R, Rinv, W, sv), dxb, dzb in zip(scal, dXa, dZa):
+        for (R, Rinv, W, sv, _, _), dxb, dzb in zip(scal, dXa, dZa):
             dXt = Rinv @ dxb @ Rinv.T
             dZt = R.T @ dzb @ R
             C = 0.5 * (dXt @ dZt + dZt @ dXt)
             corr.append(R @ C @ R.T)
-        dX, dZ, dx, dnu = newton(sigma * mu, corr)
+        step = newton(sigma * mu, corr)
+        if step is None:
+            log[-1]["stop"] = "non-finite direction"
+            break
+        dX, dZ, dx, dnu = step
         ap = min(1.0, gamma * min([np.inf] + [_max_step(L, D) for L, D in zip(Lx, dX)]))
         ad = min(1.0, gamma * min([np.inf] + [_max_step(L, D) for L, D in zip(Lz, dZ)]))
 

@@ -49,6 +49,28 @@ class TestConfigErrors:
                          write_cfg(tmp_path, "c.json", cfg)])
         assert code == cli.EXIT_CONFIG
 
+    def test_sigma0_flag_on_recover_spikes(self, tmp_path):
+        # recover-spikes reads 'sigma'; sigma0 would silently run noiseless
+        x = DiscreteMeasure([0.2], [1.0])
+        out = tmp_path / "out"
+        cfg = {"m": 12, "seed": 0, "out_dir": str(out),
+               "target": {"measure": measure_to_dict(x)}}
+        code = cli.main(["recover-spikes", "--config",
+                         write_cfg(tmp_path, "c.json", cfg), "--sigma0", "0.01"])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    def test_sigma0_sweep_over_recover_spikes(self, tmp_path):
+        x = DiscreteMeasure([0.2], [1.0])
+        out = tmp_path / "out"
+        base = {"mode": "recover-spikes", "m": 12,
+                "target": {"measure": measure_to_dict(x)}}
+        cfg = {"axis": "sigma0", "values": [0.001, 0.01], "base": base,
+               "out_dir": str(out)}
+        code = cli.main(["sweep", "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert not (out / "run_000").exists()
+
     def test_bad_sweep_axis(self, tmp_path):
         cfg = {"axis": "nope", "values": [], "base": {},
                "out_dir": str(tmp_path / "out")}

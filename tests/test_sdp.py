@@ -154,3 +154,104 @@ class TestProblemDump:
         assert "free_dim 1" in text
         assert "block0 0 0 0 1.0" in text
         assert "free 0 0 1.0" in text
+
+
+def toeplitz_trig_cone_problem(r1):
+    """trig_cone_problem(r1) with its block declared in Toeplitz form."""
+    return sdp.SdpProblem(psd_block_dims=(2,), free_dim=0,
+                          rhs=np.array([1.0, r1]),
+                          block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 1.0])])
+
+
+def psd_matrix(rng, n, eigenvalues):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    W = (Q * eigenvalues) @ Q.T
+    return 0.5 * (W + W.T)
+
+
+def max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestToeplitzAgainstSparse:
+    """The FFT Toeplitz operator against the sparse block built from the
+    same constraint triplets."""
+
+    @pytest.mark.parametrize("n", [2, 3, 33, 129])
+    @pytest.mark.parametrize("conditioning", ["random", "ill"])
+    def test_operators_agree(self, n, conditioning):
+        rng = np.random.default_rng(n)
+        p = 2 * n + 1
+        ent = sdp.ToeplitzEntries(rng.permutation(p)[:n],
+                                  rng.uniform(0.2, 5.0, n))
+        fast = sdp._ToeplitzBlock(n, ent.rows, ent.coeffs, p)
+        ref = sdp._Block(n, *ent, p)
+        eig = (rng.uniform(0.1, 3.0, n) if conditioning == "random"
+               else np.logspace(-10, 4, n))
+        W = psd_matrix(rng, n, eig)
+        assert max_rel(fast.apply(W), ref.apply(W)) <= 1e-13
+        nu = rng.standard_normal(p)
+        assert max_rel(fast.adjoint(nu), ref.adjoint(nu)) <= 1e-13
+        H = []
+        for blk in (fast, ref):
+            act, Hb = blk.schur(W)
+            full = np.zeros((p, p))
+            full[np.ix_(act, act)] = Hb
+            H.append(full)
+        assert max_rel(H[0], H[1]) <= 1e-13
+
+    def test_dual_solve_matches_triplet_twin(self):
+        from chebspike.blasso import assemble_dual_sdp
+        from chebspike.measures import DiscreteMeasure
+        from chebspike.observation import lambda_rice, simulate
+
+        m, sigma = 32, 1e-3
+        x = DiscreteMeasure([-0.5, 0.1, 0.6], [1.0, -1.4, 0.8])
+        obs = simulate(x, m, -1, sigma, seed=3)
+        prob = assemble_dual_sdp(obs, lambda_rice(sigma, m, -1, 1.0))
+        assert all(isinstance(e, sdp.ToeplitzEntries) for e in prob.block_entries)
+        twin = sdp.SdpProblem(psd_block_dims=prob.psd_block_dims,
+                              free_dim=prob.free_dim, rhs=prob.rhs,
+                              block_entries=[tuple(e) for e in prob.block_entries],
+                              free_coeffs=prob.free_coeffs, quad=prob.quad,
+                              lin=prob.lin)
+        assert sdp.problem_to_text(prob) == sdp.problem_to_text(twin)
+        a, b = sdp.solve(prob), sdp.solve(twin)
+        assert a.status == b.status == sdp.SdpStatus.SOLVED
+        assert a.iterations == b.iterations
+        np.testing.assert_allclose(a.free_vector, b.free_vector, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("r1,status", [(0.4, sdp.SdpStatus.SOLVED),
+                                           (0.6, sdp.SdpStatus.INFEASIBLE)])
+    def test_trig_cone_status(self, r1, status):
+        assert sdp.solve(toeplitz_trig_cone_problem(r1), max_iter=80).status == status
+
+    def test_entries_validated(self):
+        with pytest.raises(sdp.SdpError):
+            sdp.ToeplitzEntries([0, 0], [1.0, 1.0])
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(psd_block_dims=(3,), free_dim=0, rhs=np.ones(2),
+                           block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 1.0])])
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(psd_block_dims=(2,), free_dim=0, rhs=np.ones(2),
+                           block_entries=[sdp.ToeplitzEntries([0, 2], [1.0, 1.0])])
+
+
+class TestNumericalFloor:
+    def test_non_finite_direction_ends_with_status(self, monkeypatch):
+        # poison the KKT solve from the third iteration's predictor on, as
+        # roundoff does on a diverging infeasible trajectory
+        real = sdp._kkt_solve
+        calls = []
+
+        def poisoned(lu, K, rhs):
+            calls.append(None)
+            sol = real(lu, K, rhs)
+            return sol if len(calls) < 5 else np.full_like(sol, np.nan)
+
+        monkeypatch.setattr(sdp, "_kkt_solve", poisoned)
+        sol = sdp.solve(trig_cone_problem(0.6), max_iter=80)
+        assert sol.status == sdp.SdpStatus.INFEASIBLE
+        assert sol.iterations == 3
+        assert sol.iteration_log[-1]["stop"] == "non-finite direction"
+        assert all("stop" not in row for row in sol.iteration_log[:-1])
