@@ -9,9 +9,13 @@ computed through its conic dual
 
 where the sup-norm constraint is expressed with two PSD Gram blocks via the
 trace parameterization of nonnegative cosine polynomials.  The support of
-the recovered measure is read off the level set |dual polynomial| = lam,
-weights are fitted by a sign-consistent constrained least squares, and
-first-order optimality is verified a posteriori.
+the recovered measure is read off the level set |dual polynomial| = lam.
+One refinement stage follows: a sign-consistent weight fit with the exact
+low-order moments as constraints, damped Newton steps on weights, positions
+and multipliers jointly with the analytic Hessian of the fixed-sign
+Lagrangian (the joint amplitude-position update of the sliding Frank-Wolfe
+step), and a last weight fit at the refined positions.  First-order
+optimality is verified a posteriori.
 
 Sign convention: at the optimum the dual polynomial equals -lam times the
 weight sign at every atom, so the subgradient polynomial appearing in the
@@ -74,7 +78,6 @@ class BlassoOptions:
     sign_threshold: float = 0.9
     amplitude_floor: float | None = None     # default max(1e-8, 1e-6 * lam)
     degenerate_grid: int = 512
-    polish: bool = True
     # keep the support strictly inside (-1, 1): atoms the dual places at an
     # endpoint are moved to arccos distance 0.5/m from the edge and refitted,
     # so the measure stays a valid spline derivative and the exact-moment
@@ -152,6 +155,12 @@ def fit_weights(support, obs: Observation, lam: float, signs):
         # keeps the multipliers finite when the constraints outnumber the
         # atoms (the system is then singular but consistent at the optimum)
         sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+        # one step of iterative refinement against the residual form of the
+        # stationarity rows, which the first-order checks evaluate
+        a, mult = sol[:pts.size], sol[pts.size:]
+        res = np.concatenate([Phi_hi.T @ (y_hi - Phi_hi @ a) - lam * s
+                              - Phi_lo.T @ mult, y_lo - Phi_lo @ a])
+        sol = sol + np.linalg.lstsq(K, res, rcond=None)[0]
         if not np.all(np.isfinite(sol)):
             raise BlassoError(
                 f"weight-fit system on orders 0..{d} produced non-finite "
@@ -186,135 +195,101 @@ def _phi_deriv_matrices(points, m: int):
     return d1, d2
 
 
-def _polish_support(support, obs: Observation, lam: float, signs,
-                    max_rounds: int = 60, theta_cap: float = 0.0):
-    """Variable-projection refinement of atom positions.
+def _fit_above_floor(support, obs: Observation, lam: float, signs,
+                     floor: float):
+    """Sign-consistent weight fit, refitted without the atoms whose weight
+    falls below the amplitude floor until none does.  Returns (support,
+    weights, multipliers, signs) of the last fit."""
+    t = np.atleast_1d(np.asarray(support, dtype=float))
+    s = np.atleast_1d(np.asarray(signs, dtype=float))
+    while True:
+        a, mult, keep = fit_weights(t, obs, lam, s)
+        t, a, s = t[keep], a[keep], s[keep]
+        big = np.abs(a) >= floor
+        if big.all():
+            return t, a, mult, s
+        t, s = t[big], s[big]
+        if t.size == 0:
+            return t, t.copy(), np.zeros(obs.d + 1), s
 
-    Alternates the sign-consistent weight fit with one Newton step per
-    interior atom on the position stationarity condition
-    (phi_hi'(t_j) . r + phi_lo'(t_j) . mult = 0 with r the noisy-order data
-    residual), which drives the full first-order system of the fixed-size
-    problem to machine accuracy.  Returns (support, weights, multipliers,
-    signs) for the atoms that survive the sign filter.
+
+def _lagrangian_newton(t, a, nu, s, free, obs: Observation, lam: float):
+    """Gradient and Hessian of the fixed-sign Lagrangian
+    L(a, t, nu) = 0.5 |Phi_hi(t) a - y_hi|^2 + lam s.a + nu.(Phi_lo(t) a - y_lo)
+    in the variables (a, t[free], nu)."""
+    m, n_eq = obs.m, obs.d + 1
+    n, k, af = t.size, int(free.sum()), a[free]
+    Phi = phi_matrix(t, m)
+    P_lo, P_hi = Phi[:n_eq], Phi[n_eq:]
+    d1, d2 = _phi_deriv_matrices(t[free], m)
+    D_lo, D_hi = d1[:n_eq], d1[n_eq:]
+    r = P_hi @ a - obs.y[n_eq:]
+    q = D_hi.T @ r + D_lo.T @ nu               # dL/dt divided by the weight
+    g = np.concatenate([P_hi.T @ r + lam * s + P_lo.T @ nu, af * q,
+                        P_lo @ a - obs.y[:n_eq]])
+    sel = np.zeros((n, k))
+    sel[free, np.arange(k)] = 1.0
+    H = np.zeros((n + k + n_eq, n + k + n_eq))
+    H[:n, :n] = P_hi.T @ P_hi
+    H[:n, n:n + k] = (P_hi.T @ D_hi) * af + sel * q
+    H[:n, n + k:] = P_lo.T
+    H[n:n + k, n:n + k] = (np.outer(af, af) * (D_hi.T @ D_hi)
+                           + np.diag(af * (d2[n_eq:].T @ r + d2[:n_eq].T @ nu)))
+    H[n:n + k, n + k:] = af[:, None] * D_lo.T
+    H[n:, :n] = H[:n, n:].T
+    H[n + k:, n:n + k] = H[n:n + k, n + k:].T
+    return g, H
+
+
+def _refine_support(support, obs: Observation, lam: float, signs,
+                    floor: float, theta_cap: float = 0.0):
+    """Joint refinement of weights, positions and exact-order multipliers.
+
+    Damped Newton steps on the gradient of the fixed-sign Lagrangian (see
+    `_lagrangian_newton`), solved by least squares so that more exact orders
+    than atoms (a singular but consistent system) still gives a step, and
+    halved until the equilibrated gradient norm decreases (the stage stops
+    when three halvings do not).  Position steps
+    are capped at 0.25/m; atoms at an endpoint or at the interior cap keep
+    their position.  The stage starts and ends with the sign-consistent
+    weight fit above the amplitude floor, so the exact moments hold to fit
+    accuracy and no atom is dropped after the last fit.  Returns (support,
+    weights, multipliers).
     """
-    t = np.atleast_1d(np.asarray(support, dtype=float)).copy()
-    signs = np.atleast_1d(np.asarray(signs, dtype=float)).copy()
-    m, d = obs.m, obs.d
-    n_eq = d + 1
-    weights = np.zeros_like(t)
-    mult = np.zeros(n_eq)
-    max_move = 0.25 / max(m, 1)
-    t_cap = np.cos(theta_cap) if theta_cap > 0 else 1.0
-    for _ in range(max_rounds):
-        weights, mult, keep = fit_weights(t, obs, lam, signs)
-        if not keep.all():
-            t, signs = t[keep], signs[keep]
-            weights = weights[keep]
-            if t.size == 0:
-                return t, weights, mult, signs
-            continue
-        Phi = phi_matrix(t, m)
-        r = Phi[n_eq:] @ weights - obs.y[n_eq:]
-        interior = np.abs(t) < 1.0 - 1e-12
-        if not interior.any():
+    t, a, nu, s = _fit_above_floor(support, obs, lam, signs, floor)
+    max_move = 0.25 / max(obs.m, 1)
+    # strictly inside [-1, 1], where the position derivatives are finite
+    lim = np.cos(theta_cap) * (1.0 - 1e-12)
+    for _ in range(20):
+        free = np.abs(t) < lim
+        if not free.any():
             break
-        d1, d2 = _phi_deriv_matrices(t[interior], m)
-        g = d1[n_eq:].T @ r
-        gp = d2[n_eq:].T @ r + weights[interior] * (d1[n_eq:] ** 2).sum(axis=0)
-        if n_eq:
-            g = g + d1[:n_eq].T @ mult
-            gp = gp + d2[:n_eq].T @ mult
-        ok = gp != 0.0
-        step = np.zeros_like(g)
-        step[ok] = -g[ok] / gp[ok]
-        step = np.clip(step, -max_move, max_move)
-        t_new = t.copy()
-        t_new[interior] = np.clip(t[interior] + step, -t_cap, t_cap)
-        if np.abs(t_new - t).max() < 1e-16:
-            t = t_new
-            break
-        t = t_new
-        order = np.argsort(t)
-        t, signs = t[order], signs[order]
-    weights, mult, keep = fit_weights(t, obs, lam, signs)
-    return t[keep], weights[keep], mult, signs[keep]
-
-
-def _refine_kkt(support, weights, mult, obs: Observation, lam: float, signs,
-                theta_cap: float = 0.0, rounds: int = 25):
-    """Damped Gauss-Newton pass on the full stationarity system.
-
-    Residual rows: weight stationarity, position stationarity (scaled by the
-    weights), and the exact-order moment constraints.  Steps are computed by
-    least squares on a finite-difference Jacobian, which stays well behaved
-    when the moment constraints outnumber the atoms (consistent but
-    overdetermined) or the multipliers are not unique.  Returns the refined
-    (support, weights, multipliers) and leaves the input untouched when no
-    improvement is found.
-    """
-    t0 = np.atleast_1d(np.asarray(support, dtype=float))
-    a0 = np.atleast_1d(np.asarray(weights, dtype=float))
-    n = t0.size
-    m, d = obs.m, obs.d
-    n_eq = d + 1
-    if n == 0:
-        return t0, a0, np.asarray(mult, dtype=float)
-    t_cap = np.cos(theta_cap) if theta_cap > 0 else 1.0 - 1e-12
-    # atoms pinned at an endpoint or at the interior cap stay put and carry
-    # no position-stationarity row (they sit on an active position bound)
-    interior = np.abs(t0) < t_cap * (1.0 - 1e-12)
-
-    def residual(z):
-        a = z[:n]
-        t = np.clip(z[n:2 * n], -t_cap, t_cap)
-        nu = z[2 * n:]
-        Phi = phi_matrix(t, m)
-        r = Phi[n_eq:] @ a - obs.y[n_eq:]
-        s_a = Phi[n_eq:].T @ r + lam * signs
-        if n_eq:
-            s_a = s_a + Phi[:n_eq].T @ nu
-        d1, _ = _phi_deriv_matrices(np.clip(t, -1 + 1e-12, 1 - 1e-12), m)
-        s_t = a * (d1[n_eq:].T @ r)
-        if n_eq:
-            s_t = s_t + a * (d1[:n_eq].T @ nu)
-        s_t = np.where(interior, s_t, 0.0)
-        out = [s_a, s_t]
-        if n_eq:
-            out.append(Phi[:n_eq] @ a - obs.y[:n_eq])
-        return np.concatenate(out)
-
-    z = np.concatenate([a0, t0, np.asarray(mult, dtype=float)])
-    best = residual(z)
-    best_norm = np.linalg.norm(best)
-    scale = 1.0 + np.abs(obs.y).max()
-    for _ in range(rounds):
-        if best_norm <= 1e-13 * scale:
-            break
-        J = np.empty((best.size, z.size))
-        h = 1e-7 * (1.0 + np.abs(z))
-        for j in range(z.size):
-            zp = z.copy()
-            zp[j] += h[j]
-            J[:, j] = (residual(zp) - best) / h[j]
-        step, *_ = np.linalg.lstsq(J, -best, rcond=None)
-        improved = False
-        for damp in (1.0, 0.5, 0.25, 0.1):
-            cand = z + damp * step
-            res = residual(cand)
-            if np.linalg.norm(res) < best_norm * (1.0 - 1e-4 * damp):
-                z, best, best_norm = cand, res, np.linalg.norm(res)
-                improved = True
+        n, k = t.size, int(free.sum())
+        g, H = _lagrangian_newton(t, a, nu, s, free, obs, lam)
+        # symmetric equilibration: weights, positions and multipliers live on
+        # very different scales, and lstsq truncates relative to the largest
+        sc = np.linalg.norm(H, axis=1)
+        sc = 1.0 / np.sqrt(np.where(sc > 0.0, sc, 1.0))
+        step = sc * np.linalg.lstsq(H * np.outer(sc, sc), -sc * g, rcond=None)[0]
+        dt = np.clip(step[n:n + k], -max_move, max_move)
+        merit = np.linalg.norm(sc * g)
+        for damp in (1.0, 0.5, 0.25, 0.125):
+            t_new = t.copy()
+            t_new[free] = np.clip(t[free] + damp * dt, -lim, lim)
+            a_new = a + damp * step[:n]
+            nu_new = nu + damp * step[n + k:]
+            g_new, _ = _lagrangian_newton(t_new, a_new, nu_new, s, free, obs, lam)
+            if np.linalg.norm(sc * g_new) < (1.0 - 1e-4 * damp) * merit:
                 break
-        if not improved:
+        else:
             break
-    a = z[:n]
-    t = np.clip(z[n:2 * n], -t_cap, t_cap)
-    t = np.where(interior, t, t0)
-    nu = z[2 * n:]
-    if np.any(signs * a <= 0.0) or np.any(np.diff(np.sort(t)) == 0.0):
-        return t0, a0, np.asarray(mult, dtype=float)
-    order = np.argsort(t)
-    return t[order], a[order], nu
+        t, a, nu = t_new, a_new, nu_new
+        # convergence is quadratic: after a step this small the next one
+        # would be at the roundoff floor
+        if np.abs(dt).max() <= 1e-9:
+            break
+    t, a, nu, _ = _fit_above_floor(t, obs, lam, s, floor)
+    return t, a, nu
 
 
 def _anchored_multipliers(measure: DiscreteMeasure, obs: Observation,
@@ -434,21 +409,18 @@ def solve_blasso(obs: Observation, lam: float,
     """Run the full dual pipeline and return the recovered measure.
 
     Steps: assemble the dual conic program, solve it, locate the support on
-    the level set of the dual polynomial, fit sign-consistent weights with
-    the exact low-order moments as constraints, prune atoms below the
-    amplitude floor, and package optimality diagnostics.
+    the level set of the dual polynomial, refine weights and positions in
+    one stage (`_refine_support`) with the exact low-order moments as
+    constraints and atoms below the amplitude floor pruned, and package
+    optimality diagnostics.
     """
     opts = opts or BlassoOptions()
     t0 = time.perf_counter()
     prob = assemble_dual_sdp(obs, lam)
     ssol = sdp.solve(prob, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter)
-    if (ssol.status != sdp.SdpStatus.SOLVED
-            and ssol.gap <= 1000.0 * opts.sdp_tol):
-        # near miss against the numerical floor; one retry at a tolerance
-        # the trajectory can certify before roundoff stops progress
-        ssol = sdp.solve(prob, tol=10.0 * opts.sdp_tol,
-                         max_iter=opts.sdp_max_iter)
-    if ssol.status != sdp.SdpStatus.SOLVED:
+    # a near miss against the numerical floor: the solve returns its best
+    # iterate, and one within 10x the tolerance is accepted as it is
+    if ssol.status != sdp.SdpStatus.SOLVED and ssol.gap > 10.0 * opts.sdp_tol:
         raise BlassoError(
             f"dual conic solve failed: status={ssol.status.value}, "
             f"gap={ssol.gap:.3e}, iterations={ssol.iterations}")
@@ -488,23 +460,9 @@ def solve_blasso(obs: Observation, lam: float,
                     if not np.array_equal(clipped, support):
                         uniq, first = np.unique(clipped, return_index=True)
                         support, signs = uniq, signs[first]
-                weights, multipliers, keep = fit_weights(support, obs, lam, signs)
-                support, weights, signs = support[keep], weights[keep], signs[keep]
-                big = np.abs(weights) >= floor
-                if big.any() and not big.all():
-                    support, signs = support[big], signs[big]
-                    weights, multipliers, keep = fit_weights(support, obs, lam, signs)
-                    support, weights, signs = support[keep], weights[keep], signs[keep]
-                if support.size and opts.polish:
-                    support, weights, multipliers, signs = _polish_support(
-                        support, obs, lam, signs, theta_cap=theta_cap)
-                    if support.size:
-                        support, weights, multipliers = _refine_kkt(
-                            support, weights, multipliers, obs, lam, signs,
-                            theta_cap=theta_cap)
-                kept = np.abs(weights) >= floor if support.size else np.array([], bool)
-                measure = DiscreteMeasure(support[kept], weights[kept]) \
-                    if kept.any() else DiscreteMeasure.empty()
+                support, weights, multipliers = _refine_support(
+                    support, obs, lam, signs, floor, theta_cap)
+                measure = DiscreteMeasure(support, weights)
 
     if d >= 0 and not degenerate and not measure.is_empty:
         multipliers = _anchored_multipliers(measure, obs, lam, alpha[:d + 1])

@@ -347,6 +347,10 @@ def run_rice_check(cfg: dict) -> dict:
 
 
 def run_sweep(cfg: dict) -> dict:
+    for key in ("lambda", "sigma0", "eta"):
+        if key in cfg:
+            raise ConfigError(f"sweep does not read a top-level {key!r} "
+                              f"(flag or config key); set it in 'base'")
     out = _out_dir(cfg)
     axis = _require(cfg, "axis", str)
     if axis not in ("sigma0", "m", "lambda"):

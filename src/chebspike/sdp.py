@@ -349,9 +349,11 @@ def _solve_free_only(prob: SdpProblem, tol: float) -> SdpSolution:
 def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSolution:
     """Solve the conic program to relative accuracy `tol`.
 
-    Returns SOLVED when the relative equality residual, dual residual, and
-    complementarity gap all fall below tol; INFEASIBLE when the equality
-    residual stalls above tolerance; MAX_ITER otherwise.
+    Returns SOLVED when the relative equality residual, dual residual,
+    complementarity residual and gap all fall below tol; INFEASIBLE when the
+    equality residual stalls above tolerance; MAX_ITER otherwise.  The
+    returned point is the best iterate, and `gap` is the largest of those
+    four relative measures there.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -396,66 +398,61 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     x = np.zeros(f)
     nu = np.zeros(p)
 
-    def residuals():
+    def measures(X, Z, x, nu):
+        """Residuals, complementarity and relative measures of an iterate."""
         r_p = h - F @ x if f else h.copy()
         for blk, Xb in zip(blocks, X):
             r_p -= blk.apply(Xb)
         r_d = (F.T @ nu - Q @ x - q) if f else np.zeros(0)
         r_c = [-blk.adjoint(nu) - Zb for blk, Zb in zip(blocks, Z)]
-        return r_p, r_d, r_c
-
-    def merit(r_p, r_d, gap):
-        t = gap / (1.0 + abs(pobj()) + abs(dobj()))
-        t += np.abs(r_p).max() / (1.0 + np.abs(h).max())
-        if f:
-            t += np.abs(r_d).max() / (1.0 + np.abs(q).max())
-        return t
-
-    def pobj():
-        return 0.5 * x @ Q @ x + q @ x if f else 0.0
-
-    def dobj():
-        return h @ nu - (0.5 * x @ Q @ x if f else 0.0)
+        gap = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z))
+        xQx = 0.5 * x @ Q @ x if f else 0.0
+        pobj = xQx + q @ x if f else 0.0
+        dobj = h @ nu - xQx
+        rel = {"pobj": pobj, "dobj": dobj,
+               "gap": gap / (1.0 + abs(pobj) + abs(dobj)),
+               "rp": np.abs(r_p).max() / (1.0 + np.abs(h).max()),
+               "rd": np.abs(r_d).max() / (1.0 + np.abs(q).max()) if f else 0.0,
+               "rc": max(np.abs(rc).max() / (1.0 + np.abs(Zb).max())
+                         for rc, Zb in zip(r_c, Z))}
+        rel["all"] = max(rel["rp"], rel["rd"], rel["rc"], abs(rel["gap"]))
+        # the step safeguard's merit
+        rel["merit"] = rel["gap"] + rel["rp"] + rel["rd"]
+        return r_p, r_d, r_c, gap, rel
 
     log = []
     status = SdpStatus.MAX_ITER
     it = 0
     best_rp = np.inf
-    best_merit = np.inf
+    best_rel = {"all": np.inf}
     best_point = None
     stall = 0
     gamma = 0.99
+    meas = measures(X, Z, x, nu)
 
     for it in range(1, max_iter + 1):
-        r_p, r_d, r_c = residuals()
-        gap = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z))
+        r_p, r_d, r_c, gap, rel = meas
         mu = gap / N
-        rel_rp = np.abs(r_p).max() / (1.0 + np.abs(h).max())
-        rel_rd = np.abs(r_d).max() / (1.0 + np.abs(q).max()) if f else 0.0
-        rel_rc = max(np.abs(rc).max() / (1.0 + np.abs(Zb).max())
-                     for rc, Zb in zip(r_c, Z))
-        rel_gap = gap / (1.0 + abs(pobj()) + abs(dobj()))
-        log.append({"iter": it - 1, "pobj": s_obj * s_var * pobj(),
-                    "dobj": s_obj * s_var * dobj(), "gap": rel_gap,
-                    "rp": rel_rp, "rd": rel_rd, "rc": rel_rc})
-        cur = max(rel_rp, rel_rd, rel_rc, abs(rel_gap))
-        if cur < best_merit:
-            best_merit = cur
+        log.append({"iter": it - 1, "pobj": s_obj * s_var * rel["pobj"],
+                    "dobj": s_obj * s_var * rel["dobj"], "gap": rel["gap"],
+                    "rp": rel["rp"], "rd": rel["rd"], "rc": rel["rc"]})
+        if rel["all"] < best_rel["all"]:
+            best_rel = rel
             best_point = ([Xb.copy() for Xb in X], [Zb.copy() for Zb in Z],
                           x.copy(), nu.copy())
-        if cur <= tol:
+        if rel["all"] <= tol:
             status = SdpStatus.SOLVED
             break
-        if gap <= 0.0 or mu < 1e-17 * (1.0 + abs(pobj())):
+        if gap <= 0.0 or mu < 1e-17 * (1.0 + abs(rel["pobj"])):
             # numerical floor; classify from the best iterate below
             log[-1]["stop"] = "numerical floor"
             break
-        if rel_rp < 0.9 * best_rp:
-            best_rp = rel_rp
+        if rel["rp"] < 0.9 * best_rp:
+            best_rp = rel["rp"]
             stall = 0
         else:
             stall += 1
-        if stall >= 25 and rel_rp > 100.0 * tol:
+        if stall >= 25 and rel["rp"] > 100.0 * tol:
             status = SdpStatus.INFEASIBLE
             break
 
@@ -548,40 +545,27 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         ap = min(1.0, gamma * min([np.inf] + [_max_step(L, D) for L, D in zip(Lx, dX)]))
         ad = min(1.0, gamma * min([np.inf] + [_max_step(L, D) for L, D in zip(Lz, dZ)]))
 
-        merit_old = merit(r_p, r_d, gap)
         for _ in range(4):
             Xn = [Xb + ap * dxb for Xb, dxb in zip(X, dX)]
             Zn = [Zb + ad * dzb for Zb, dzb in zip(Z, dZ)]
             xn = x + ap * dx
             nun = nu + ad * dnu
-            r_pn = h - (F @ xn if f else 0.0)
-            for blk, Xb in zip(blocks, Xn):
-                r_pn = r_pn - blk.apply(Xb)
-            r_dn = (F.T @ nun - Q @ xn - q) if f else np.zeros(0)
-            gap_n = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(Xn, Zn))
-            if merit(r_pn, r_dn, gap_n) <= 10.0 * merit_old or ap < 1e-3:
+            meas = measures(Xn, Zn, xn, nun)
+            if meas[-1]["merit"] <= 10.0 * rel["merit"] or ap < 1e-3:
                 break
             ap *= 0.5
             ad *= 0.5
         X, Z, x, nu = Xn, Zn, xn, nun
 
     # fall back to the best iterate seen if the last one is not the best
-    r_p, r_d, r_c = residuals()
-    gap = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z))
-    rel_rp = np.abs(r_p).max() / (1.0 + np.abs(h).max())
-    rel_rd = np.abs(r_d).max() / (1.0 + np.abs(q).max()) if f else 0.0
-    rel_gap = gap / (1.0 + abs(pobj()) + abs(dobj()))
-    if best_point is not None and max(rel_rp, rel_rd, abs(rel_gap)) > best_merit:
+    rel = meas[-1]
+    if rel["all"] > best_rel["all"]:
         X, Z, x, nu = best_point
-        r_p, r_d, r_c = residuals()
-        gap = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z))
-        rel_rp = np.abs(r_p).max() / (1.0 + np.abs(h).max())
-        rel_rd = np.abs(r_d).max() / (1.0 + np.abs(q).max()) if f else 0.0
-        rel_gap = gap / (1.0 + abs(pobj()) + abs(dobj()))
-    final_gap = max(rel_gap, rel_rp, rel_rd)
+        rel = best_rel
+    final_gap = rel["all"]
     if status != SdpStatus.INFEASIBLE and final_gap <= tol:
         status = SdpStatus.SOLVED
-    if status == SdpStatus.MAX_ITER and rel_rp > 100.0 * tol:
+    if status == SdpStatus.MAX_ITER and rel["rp"] > 100.0 * tol:
         status = SdpStatus.INFEASIBLE
 
     # undo the scaling and clip roundoff negatives in the returned blocks

@@ -1,5 +1,12 @@
 """Shared test helpers."""
 
+import os
+
+# one BLAS thread: the suite's matrices are small, and on a 2-core host the
+# default threading made the suite four times slower.  Set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from chebspike.measures import DiscreteMeasure

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from chebspike import sdp
-from chebspike.blasso import (BlassoError, BlassoOptions, assemble_dual_sdp,
-                              fit_weights, solve_blasso, verify_first_order)
+from chebspike.blasso import (BlassoError, BlassoOptions, _refine_support,
+                              assemble_dual_sdp, fit_weights, solve_blasso,
+                              verify_first_order)
 from chebspike.chebyshev import cheb_grid, eval_poly
 from chebspike.measures import DiscreteMeasure, moments, phi_matrix
 from chebspike.observation import Observation, simulate
@@ -130,6 +131,23 @@ class TestSolveBlasso:
         with pytest.raises(BlassoError):
             solve_blasso(obs, 0.5, BlassoOptions(sdp_tol=1e-9, sdp_max_iter=1))
 
+    def test_near_miss_accepts_best_iterate(self):
+        # sdp.solve is deterministic and returns its best iterate: cut its
+        # iterations so that the best measure lands in (tol, 10 tol]
+        x = DiscreteMeasure([-0.5, 0.3], [-0.8, 1.5])
+        obs, lam, tol = noiseless_obs(x, 32), 1e-4, 1e-9
+        log = sdp.solve(assemble_dual_sdp(obs, lam), tol=1e-13,
+                        max_iter=200).iteration_log
+        best = np.minimum.accumulate(
+            [max(r["rp"], r["rd"], r["rc"], abs(r["gap"])) for r in log])
+        k = int(np.argmax(best <= 10.0 * tol))
+        assert k >= 1 and tol < best[k]
+        sol = solve_blasso(obs, lam, BlassoOptions(sdp_tol=tol, sdp_max_iter=k))
+        assert sol.sdp_gap == best[k]
+        assert len(sol.measure) == 2
+        with pytest.raises(BlassoError, match="dual conic solve failed"):
+            solve_blasso(obs, lam, BlassoOptions(sdp_tol=tol, sdp_max_iter=k - 1))
+
 
 class TestFitWeights:
     def test_plain_least_squares(self):
@@ -173,6 +191,38 @@ class TestFitWeights:
         obs = noiseless_obs(x, 8, d=1)
         with pytest.raises(BlassoError, match="rows 0..1"):
             fit_weights([0.3, 0.3], obs, 0.1, [1.0, 1.0])
+
+
+class TestRefineSupport:
+    @pytest.mark.parametrize("d, lam", [(-1, 0.0), (-1, 1e-3), (0, 1e-3), (4, 1e-3)])
+    def test_converges_from_offset_positions(self, d, lam):
+        # noiseless data: at lam = 0, and with more exact orders than the two
+        # atoms have unknowns (d = 4), the optimum is the true measure
+        x = DiscreteMeasure([-0.5, 0.3], [-0.8, 1.5])
+        obs = noiseless_obs(x, 32, d)
+        signs = np.sign(x.weights)
+        ref, _, _ = _refine_support(x.support, obs, lam, signs, 1e-8)
+        if lam == 0.0 or d + 1 > 2 * len(x):
+            np.testing.assert_allclose(ref, x.support, atol=1e-10, rtol=0)
+        for off in ([1e-3, 1e-3], [-1e-3, 1e-3]):
+            t, a, nu = _refine_support(x.support + off, obs, lam, signs, 1e-8)
+            np.testing.assert_allclose(t, ref, atol=1e-10, rtol=0)
+            assert nu.size == d + 1
+            eq = phi_matrix(t, 32)[:d + 1] @ a - obs.y[:d + 1]
+            assert np.abs(eq).max(initial=0.0) <= 1e-12
+
+    def test_prunes_below_floor_before_the_last_fit(self):
+        # the middle atom fits a consistent weight of about 5e-4, under the
+        # floor: it is dropped, and the returned weights are the last fit's
+        x = DiscreteMeasure([-0.5, 0.0, 0.3], [-0.8, 5e-4, 1.5])
+        obs = noiseless_obs(x, 32)
+        signs = np.sign(x.weights)
+        a0, _, keep = fit_weights(x.support, obs, 1e-6, signs)
+        assert keep.all() and 0.0 < a0[1] < 1e-3
+        t, a, _ = _refine_support(x.support, obs, 1e-6, signs, 1e-3)
+        assert t.size == 2 and np.all(np.abs(a) >= 1e-3)
+        np.testing.assert_allclose(t, x.support[[0, 2]], atol=1e-2)
+        np.testing.assert_array_equal(a, fit_weights(t, obs, 1e-6, signs[[0, 2]])[0])
 
 
 class TestRandomizedRegimes:

@@ -10,7 +10,7 @@ import pytest
 from chebspike import cli
 from chebspike.measures import DiscreteMeasure, measure_to_dict
 from chebspike.splines import (boundary_vector, integrate_from_spikes,
-                               spline_to_dict)
+                               spline_from_dict, spline_to_dict)
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -70,6 +70,19 @@ class TestConfigErrors:
         code = cli.main(["sweep", "--config", write_cfg(tmp_path, "c.json", cfg)])
         assert code == cli.EXIT_CONFIG
         assert not (out / "run_000").exists()
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--sigma0", "--eta"])
+    def test_sweep_rejects_top_level_solver_flags(self, tmp_path, flag, capsys):
+        # run_sweep reads only 'base'; a top-level value would be dropped
+        out = tmp_path / "out"
+        base = {"mode": "recover-spikes", "m": 12,
+                "target": {"measure": measure_to_dict(DiscreteMeasure([0.2], [1.0]))}}
+        cfg = {"axis": "m", "values": [12], "base": base, "out_dir": str(out)}
+        code = cli.main(["sweep", "--config", write_cfg(tmp_path, "c.json", cfg),
+                         flag, "0.5"])
+        assert code == cli.EXIT_CONFIG
+        assert "'base'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_sweep_axis(self, tmp_path):
         cfg = {"axis": "nope", "values": [], "base": {},
@@ -158,6 +171,29 @@ class TestRecoverSpline:
         np.testing.assert_allclose(found, knots, atol=1e-4)
         summary = json.loads((out / "run.json").read_text())
         assert summary["boundary_residual"] <= 1e-8
+
+    def test_exact_moments_hold_on_edge_clustered_support(self, tmp_path):
+        # a noisy case with knot jumps near 1e4 and small atoms near both
+        # ends: refinement must keep the exact moments at that scale
+        f = {"degree": 2,
+             "knots": [-0.9451169861207587, -0.4606490594808251,
+                       0.6863298698136618],
+             "pieces": [[1.6224527608306398, 0.573861120888778,
+                         -0.19982121152492138],
+                        [-5085.573625032169, -10764.646005836414,
+                         -5695.378315010079],
+                        [-5954.251298148223, -14536.183818570033,
+                         -9789.099701290921],
+                        [-3686.5757979933687, -21144.30507306396,
+                         -4974.999699867387]]}
+        out = tmp_path / "out"
+        cfg = {"m": 32, "sigma0": 0.0005, "seed": 2254165027208214343,
+               "out_dir": str(out), "target": {"spline": f}}
+        assert cli.main(["recover-spline", "--config",
+                         write_cfg(tmp_path, "c.json", cfg)]) == cli.EXIT_OK
+        summary = json.loads((out / "run.json").read_text())
+        b = boundary_vector(spline_from_dict(f))
+        assert summary["boundary_residual"] <= 1e-8 * (1.0 + np.abs(b).max())
 
     def test_profile_schema(self, tmp_path):
         out = tmp_path / "out"
