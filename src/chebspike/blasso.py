@@ -199,7 +199,8 @@ def _fit_above_floor(support, obs: Observation, lam: float, signs,
                      floor: float):
     """Sign-consistent weight fit, refitted without the atoms whose weight
     falls below the amplitude floor until none does.  Returns (support,
-    weights, multipliers, signs) of the last fit."""
+    weights, multipliers, signs) of the last fit; the support is empty, and
+    the multipliers zero, when no atom survives."""
     t = np.atleast_1d(np.asarray(support, dtype=float))
     s = np.atleast_1d(np.asarray(signs, dtype=float))
     while True:
@@ -208,15 +209,17 @@ def _fit_above_floor(support, obs: Observation, lam: float, signs,
         big = np.abs(a) >= floor
         if big.all():
             return t, a, mult, s
+        if not big.any():
+            return t[big], a[big], np.zeros_like(mult), s[big]
         t, s = t[big], s[big]
-        if t.size == 0:
-            return t, t.copy(), np.zeros(obs.d + 1), s
 
 
-def _lagrangian_newton(t, a, nu, s, free, obs: Observation, lam: float):
+def _lagrangian_newton(t, a, nu, s, free, obs: Observation, lam: float,
+                       hessian: bool = True):
     """Gradient and Hessian of the fixed-sign Lagrangian
     L(a, t, nu) = 0.5 |Phi_hi(t) a - y_hi|^2 + lam s.a + nu.(Phi_lo(t) a - y_lo)
-    in the variables (a, t[free], nu)."""
+    in the variables (a, t[free], nu).  With hessian=False only the gradient
+    is returned."""
     m, n_eq = obs.m, obs.d + 1
     n, k, af = t.size, int(free.sum()), a[free]
     Phi = phi_matrix(t, m)
@@ -227,6 +230,8 @@ def _lagrangian_newton(t, a, nu, s, free, obs: Observation, lam: float):
     q = D_hi.T @ r + D_lo.T @ nu               # dL/dt divided by the weight
     g = np.concatenate([P_hi.T @ r + lam * s + P_lo.T @ nu, af * q,
                         P_lo @ a - obs.y[:n_eq]])
+    if not hessian:
+        return g
     sel = np.zeros((n, k))
     sel[free, np.arange(k)] = 1.0
     H = np.zeros((n + k + n_eq, n + k + n_eq))
@@ -254,9 +259,12 @@ def _refine_support(support, obs: Observation, lam: float, signs,
     their position.  The stage starts and ends with the sign-consistent
     weight fit above the amplitude floor, so the exact moments hold to fit
     accuracy and no atom is dropped after the last fit.  Returns (support,
-    weights, multipliers).
+    weights, multipliers); the support is empty, and the multipliers zero,
+    when a fit keeps no atom.
     """
     t, a, nu, s = _fit_above_floor(support, obs, lam, signs, floor)
+    if t.size == 0:
+        return t, a, nu
     max_move = 0.25 / max(obs.m, 1)
     # strictly inside [-1, 1], where the position derivatives are finite
     lim = np.cos(theta_cap) * (1.0 - 1e-12)
@@ -278,7 +286,8 @@ def _refine_support(support, obs: Observation, lam: float, signs,
             t_new[free] = np.clip(t[free] + damp * dt, -lim, lim)
             a_new = a + damp * step[:n]
             nu_new = nu + damp * step[n + k:]
-            g_new, _ = _lagrangian_newton(t_new, a_new, nu_new, s, free, obs, lam)
+            g_new = _lagrangian_newton(t_new, a_new, nu_new, s, free, obs, lam,
+                                       hessian=False)
             if np.linalg.norm(sc * g_new) < (1.0 - 1e-4 * damp) * merit:
                 break
         else:

@@ -551,7 +551,11 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             xn = x + ap * dx
             nun = nu + ad * dnu
             meas = measures(Xn, Zn, xn, nun)
-            if meas[-1]["merit"] <= 10.0 * rel["merit"] or ap < 1e-3:
+            # the trial gap is normalised by the current point's objectives,
+            # as in the current point's own merit
+            merit_n = (meas[3] / (1.0 + abs(rel["pobj"]) + abs(rel["dobj"]))
+                       + meas[-1]["rp"] + meas[-1]["rd"])
+            if merit_n <= 10.0 * rel["merit"] or ap < 1e-3:
                 break
             ap *= 0.5
             ad *= 0.5

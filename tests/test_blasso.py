@@ -224,6 +224,27 @@ class TestRefineSupport:
         np.testing.assert_allclose(t, x.support[[0, 2]], atol=1e-2)
         np.testing.assert_array_equal(a, fit_weights(t, obs, 1e-6, signs[[0, 2]])[0])
 
+    @pytest.mark.parametrize("d", [-1, 2])
+    def test_all_pruned_gives_empty(self, d):
+        x = DiscreteMeasure([-0.5, 0.3], [-0.8, 1.5])
+        obs = noiseless_obs(x, 32, d)
+        signs = np.sign(x.weights)
+        # a floor above every fitted weight
+        t, a, nu = _refine_support(x.support, obs, 1e-6, signs, 10.0)
+        assert t.size == 0 and a.size == 0
+        np.testing.assert_array_equal(nu, np.zeros(d + 1))
+        # signs the sign-consistent fit rejects entirely
+        if d < 0:
+            t, a, nu = _refine_support(x.support, obs, 1e-6, -signs, 1e-8)
+            assert t.size == 0 and a.size == 0 and nu.size == 0
+
+    def test_solve_with_floor_above_every_weight_is_empty(self):
+        x = DiscreteMeasure([-0.5, 0.3], [-0.8, 1.5])
+        obs = noiseless_obs(x, 32)
+        sol = solve_blasso(obs, 1e-3, BlassoOptions(amplitude_floor=10.0))
+        assert sol.measure.is_empty
+        assert sol.kkt_residuals["tv_identity_gap"] == 0.0
+
 
 class TestRandomizedRegimes:
     def test_pipeline_invariants_across_regimes(self):
