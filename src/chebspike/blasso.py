@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import (ChebPoly, ConstantDualError, cheb_grid, eval_poly,
-                        unit_level_roots)
+                        merge_close, unit_level_roots)
 from .measures import DiscreteMeasure, moments, phi_matrix, tv_norm
 from .observation import Observation
 from . import sdp
@@ -113,9 +113,8 @@ def assemble_dual_sdp(obs: Observation, lam: float) -> sdp.SdpProblem:
 
     quad = np.zeros((n, n))
     quad[np.arange(d + 1, n), np.arange(d + 1, n)] = 1.0
-    return sdp.SdpProblem(psd_block_dims=(n, n), free_dim=n, rhs=h,
-                          block_entries=[block1, block2], free_coeffs=F,
-                          quad=quad, lin=obs.y.copy())
+    return sdp.SdpProblem(free_dim=n, rhs=h, block_entries=[block1, block2],
+                          free_coeffs=F, quad=quad, lin=obs.y.copy())
 
 
 def fit_weights(support, obs: Observation, lam: float, signs):
@@ -464,11 +463,12 @@ def solve_blasso(obs: Observation, lam: float,
                 signs = -np.sign(vals)
                 theta_cap = 0.5 / max(obs.m, 1) if opts.interior_support else 0.0
                 if theta_cap > 0:
+                    # clipping can bring an endpoint atom within the
+                    # locator's merge radius of its interior neighbour
                     t_cap = np.cos(theta_cap)
-                    clipped = np.clip(support, -t_cap, t_cap)
-                    if not np.array_equal(clipped, support):
-                        uniq, first = np.unique(clipped, return_index=True)
-                        support, signs = uniq, signs[first]
+                    support = np.clip(support, -t_cap, t_cap)
+                    keep = merge_close(support, np.abs(vals), theta_cap)
+                    support, signs = support[keep], signs[keep]
                 support, weights, multipliers = _refine_support(
                     support, obs, lam, signs, floor, theta_cap)
                 measure = DiscreteMeasure(support, weights)

@@ -213,19 +213,14 @@ def unit_level_roots(p: ChebPoly, level: float, tol: float,
     if pts.size == 0:
         return pts
 
-    # merge clusters closer than 0.5/m in arccos distance
-    theta = np.arccos(np.clip(pts[::-1], -1.0, 1.0))  # ascending in theta
-    ts = pts[::-1]
-    radius = 0.5 / m
-    groups = []
-    start = 0
-    for i in range(1, len(ts) + 1):
-        if i == len(ts) or theta[i] - theta[i - 1] > radius:
-            groups.append((start, i))
-            start = i
-    reps = []
-    for a, b in groups:
-        seg = ts[a:b]
-        vals = np.abs(npcheb.chebval(seg, tc))
-        reps.append(seg[np.argmax(vals)])
-    return np.sort(np.array(reps))
+    return pts[merge_close(pts, np.abs(npcheb.chebval(pts, tc)), 0.5 / m)]
+
+
+def merge_close(t: np.ndarray, score: np.ndarray, radius: float) -> np.ndarray:
+    """Indices of the points kept when the ascending points t are merged in
+    chains of neighbours at most `radius` apart in arccos distance, keeping
+    the point with the largest score in each chain (the rightmost on ties)."""
+    order = np.arange(t.size)[::-1]  # ascending in theta
+    theta = np.arccos(np.clip(t[order], -1.0, 1.0))
+    cuts = np.flatnonzero(np.diff(theta) > radius) + 1
+    return np.sort([g[np.argmax(score[g])] for g in np.split(order, cuts)])

@@ -426,29 +426,23 @@ MODES = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file")
+    shared.add_argument("--seed", type=int)
+    shared.add_argument("--out-dir")
+    shared.add_argument("--sigma0", type=float)
+    shared.add_argument("--lambda", dest="lam", type=float)
+    shared.add_argument("--eta", type=float)
+    shared.add_argument("--assert", dest="check", action="store_true",
+                        help="exit 4 when the run's report does not pass")
     parser = argparse.ArgumentParser(
-        prog="chebspike",
+        prog="chebspike", parents=[shared],
         description="Spike and non-uniform spline recovery from Chebyshev moments")
     parser.add_argument("--mode", choices=sorted(MODES),
                         help="run mode (alternative to the subcommand form)")
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out-dir")
-    parser.add_argument("--sigma0", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--assert", dest="check", action="store_true",
-                        help="exit 4 when the run's report does not pass")
     sub = parser.add_subparsers(dest="subcommand")
     for name in sorted(MODES):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out-dir")
-        sp.add_argument("--sigma0", type=float)
-        sp.add_argument("--lambda", dest="lam", type=float)
-        sp.add_argument("--eta", type=float)
-        sp.add_argument("--assert", dest="check", action="store_true")
+        sub.add_parser(name, parents=[shared])
     return parser
 
 

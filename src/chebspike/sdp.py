@@ -1,5 +1,6 @@
-"""Dense conic solver for small problems with PSD matrix blocks, a free
-vector block, linear equality constraints, and a convex quadratic objective.
+"""Dense conic solver for the trace-parameterized dual programs of this
+package: PSD Toeplitz-constrained blocks, a free vector block, linear
+equality constraints, and a convex quadratic objective.
 
 Problem form::
 
@@ -7,17 +8,20 @@ Problem form::
     subject to  sum_b <A_rb, X_b> + (F x)_r = h_r,    r = 0 .. p-1
                 X_b positive semidefinite
 
+Every PSD block is given as `ToeplitzEntries` (rows, v): constraint rows[k]
+reads v[k] times the k-th subdiagonal sum of X_b, the trace parameterization
+of a nonnegative cosine polynomial.  So A_rb = v[k] (E_k + E_-k) / 2 for
+r = rows[k], with E_d the matrix of ones where row - column = d, and A_rb = 0
+on the rows the block does not touch.  This is the only block form.
+
 The solver is a Nesterov-Todd scaled primal-dual path-following method with
 a Mehrotra predictor-corrector step.  Each Newton system is reduced to a
-dense Schur complement over the constraint multipliers, so the per-iteration
-cost is a handful of dense factorizations and level-3 BLAS products on
-matrices of the block dimensions; intended for dimensions up to a few
-hundred.  A block declared as `ToeplitzEntries` (constraint k reads the k-th
-subdiagonal sum, the trace parameterization of a nonnegative cosine
-polynomial) forms its Schur contribution from one FFT autocorrelation of the
-scaling matrix, O(n^2 log n) for an n x n block; a block given as sparse
-triplets costs one O(n^3) product per constraint it touches.  The method
-is deterministic: identical inputs produce identical iterates.
+dense Schur complement over the constraint multipliers; each block forms its
+part from one FFT autocorrelation of the scaling matrix, O(n^2 log n) for an
+n x n block, so the per-iteration cost is a handful of dense factorizations
+and level-3 BLAS products on matrices of the block dimensions; intended for
+dimensions up to a few hundred.  The method is deterministic: identical
+inputs produce identical iterates.
 
 Dual pair used internally (Z_b are the multipliers of the PSD constraints,
 nu of the equalities)::
@@ -52,7 +56,6 @@ from enum import Enum
 import numpy as np
 import scipy.fft as sfft
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 
 class SdpStatus(Enum):
@@ -66,41 +69,31 @@ class SdpError(Exception):
 
 
 class ToeplitzEntries:
-    """Constraint data of an n x n block in trace form: row rows[k] gains
-    coeffs[k] times the sum of the k-th subdiagonal of X_b, k = 0 .. n-1.
-
-    Unpacking it gives the equivalent (row, i, j, val) triplets, so it can
-    be read wherever a triplet tuple is expected.
-    """
+    """Constraint data of an n x n PSD block in trace form, n = len(rows):
+    row rows[k] gains coeffs[k] times the sum of the k-th subdiagonal of
+    X_b, k = 0 .. n-1."""
 
     def __init__(self, rows, coeffs):
         self.rows = np.atleast_1d(np.asarray(rows)).astype(int)
         self.coeffs = np.atleast_1d(np.asarray(coeffs)).astype(float)
         if self.rows.shape != self.coeffs.shape or self.rows.ndim != 1:
             raise SdpError("Toeplitz rows and coeffs must be equal-length vectors")
+        if self.rows.size == 0:
+            raise SdpError("a Toeplitz block needs at least one row")
         if np.unique(self.rows).size != self.rows.size:
             raise SdpError("Toeplitz constraint rows must be distinct")
-
-    def __iter__(self):
-        n = self.rows.size
-        k = np.concatenate([np.full(n - d, d) for d in range(n)])
-        i = np.concatenate([np.arange(d, n) for d in range(n)])
-        return iter((self.rows[k], i, i - k, self.coeffs[k]))
 
 
 @dataclass
 class SdpProblem:
     """Conic program data.
 
-    block_entries[b] is either a tuple of four equal-length integer/float
-    arrays (row, i, j, val), where constraint `row` gains the term
-    val * X_b[i, j] (specifying one triangle is enough, the blocks are
-    symmetric), or a ToeplitzEntries of length n_b.
-    free_coeffs is the dense (p, free_dim) matrix F, quad the PSD quadratic
-    form on the free block and lin its linear term.
+    block_entries is a nonempty list of ToeplitzEntries, one per PSD block;
+    the block sizes follow from them (`psd_block_dims`).  free_coeffs is the
+    dense (p, free_dim) matrix F, quad the PSD quadratic form on the free
+    block and lin its linear term.
     """
 
-    psd_block_dims: tuple
     free_dim: int
     rhs: np.ndarray
     block_entries: list
@@ -109,32 +102,16 @@ class SdpProblem:
     lin: np.ndarray | None = None
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.psd_block_dims)
-        if any(n < 1 for n in dims):
-            raise SdpError("PSD block dimensions must be positive")
-        object.__setattr__(self, "psd_block_dims", dims)
         h = np.atleast_1d(np.asarray(self.rhs, dtype=float))
         p = h.size
-        if len(self.block_entries) != len(dims):
-            raise SdpError("one entry tuple needed per PSD block")
-        entries = []
-        for n, ent in zip(dims, self.block_entries):
-            if isinstance(ent, ToeplitzEntries):
-                if ent.rows.size != n:
-                    raise SdpError(f"Toeplitz block of size {n} needs {n} rows")
-                if ent.rows.min() < 0 or ent.rows.max() >= p:
-                    raise SdpError("constraint row index out of range")
-                entries.append(ent)
-                continue
-            row, i, j, val = (np.atleast_1d(np.asarray(a)) for a in ent)
-            if not (row.size == i.size == j.size == val.size):
-                raise SdpError("block entry arrays must have equal length")
-            if row.size and (row.min() < 0 or row.max() >= p):
+        entries = list(self.block_entries)
+        if not entries:
+            raise SdpError("at least one PSD block is needed")
+        for ent in entries:
+            if not isinstance(ent, ToeplitzEntries):
+                raise SdpError("PSD blocks must be given as ToeplitzEntries")
+            if ent.rows.min() < 0 or ent.rows.max() >= p:
                 raise SdpError("constraint row index out of range")
-            if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
-                raise SdpError("block matrix index out of range")
-            entries.append((row.astype(int), i.astype(int), j.astype(int),
-                            val.astype(float)))
         self.block_entries = entries
         f = int(self.free_dim)
         if f < 0:
@@ -151,7 +128,7 @@ class SdpProblem:
         q = np.zeros(f) if q is None else np.atleast_1d(np.asarray(q, dtype=float))
         if q.shape != (f,):
             raise SdpError(f"lin must have shape ({f},)")
-        if p > sum(n * (n + 1) // 2 for n in dims) + f:
+        if p > sum(n * (n + 1) // 2 for n in self.psd_block_dims) + f:
             raise SdpError("more constraint rows than variable dimensions")
         object.__setattr__(self, "free_dim", f)
         object.__setattr__(self, "rhs", h)
@@ -160,13 +137,17 @@ class SdpProblem:
         object.__setattr__(self, "lin", q)
         # no constraint row may be entirely empty
         touched = np.zeros(p, dtype=bool)
-        for row, _, _, val in entries:
-            touched[row[val != 0.0]] = True
+        for ent in entries:
+            touched[ent.rows[ent.coeffs != 0.0]] = True
         if f:
             touched |= np.any(F != 0.0, axis=1)
         if not touched.all():
             bad = np.nonzero(~touched)[0]
             raise SdpError(f"constraint rows {bad.tolist()} have no coefficients")
+
+    @property
+    def psd_block_dims(self) -> tuple:
+        return tuple(ent.rows.size for ent in self.block_entries)
 
     @property
     def n_constraints(self) -> int:
@@ -184,53 +165,12 @@ class SdpSolution:
     iteration_log: list = field(default_factory=list)
 
 
-class _Block:
-    """Per-block compiled constraint data."""
-
-    def __init__(self, n: int, row, i, j, val, p: int):
-        self.n = n
-        # symmetrize: val*X[i,j] with X symmetric == <sym matrix, X>
-        off = i != j
-        ri = np.concatenate([row, row[off]])
-        ii = np.concatenate([i, j[off]])
-        jj = np.concatenate([j, i[off]])
-        vv = np.concatenate([np.where(off, 0.5 * val, val), 0.5 * val[off]])
-        self.E = sp.csr_matrix((vv, (ri, ii * n + jj)), shape=(p, n * n))
-        self.E.sum_duplicates()
-        self.ET = self.E.T.tocsr()
-        self.active = np.unique(ri)
-        # per-active-constraint symmetrized entries, for Schur columns
-        order = np.argsort(ri, kind="stable")
-        ri, ii, jj, vv = ri[order], ii[order], jj[order], vv[order]
-        bounds = np.searchsorted(ri, self.active, side="left")
-        bounds = np.append(bounds, ri.size)
-        self.seg_i = [ii[bounds[k]:bounds[k + 1]] for k in range(self.active.size)]
-        self.seg_j = [jj[bounds[k]:bounds[k + 1]] for k in range(self.active.size)]
-        self.seg_v = [vv[bounds[k]:bounds[k + 1]] for k in range(self.active.size)]
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return self.E @ X.ravel()
-
-    def adjoint(self, nu: np.ndarray) -> np.ndarray:
-        M = (self.ET @ nu).reshape(self.n, self.n)
-        return 0.5 * (M + M.T)
-
-    def schur(self, W: np.ndarray) -> tuple:
-        """(active rows, tr(A_r W A_l W) over active r, l)."""
-        n = self.n
-        Mstack = np.empty((self.active.size, n * n))
-        for k in range(self.active.size):
-            B = W[:, self.seg_i[k]] @ (self.seg_v[k][:, None] * W[self.seg_j[k], :])
-            Mstack[k] = B.ravel()
-        cols = self.E @ Mstack.T
-        return self.active, np.asarray(cols)[self.active]
-
-
 class _ToeplitzBlock:
     """Compiled ToeplitzEntries: A_k = v_k (E_k + E_-k) / 2, where E_d has
     ones where row - column = d, so <A_k, X> = v_k * (k-th subdiagonal sum)."""
 
-    def __init__(self, n: int, rows, coeffs, p: int):
+    def __init__(self, rows, coeffs, p: int):
+        n = rows.size
         self.n, self.p = n, p
         self.active = rows
         self.v = coeffs
@@ -261,25 +201,6 @@ class _ToeplitzBlock:
         c = np.fft.irfft2(F.real ** 2 + F.imag ** 2, s=s)
         H = 0.5 * (c[:n, :n] + c[:n, self.neg])
         return self.active, self.v[:, None] * H * self.v[None, :]
-
-
-def problem_to_text(prob: SdpProblem) -> str:
-    """Plain-text dump of a conic program for debugging: block dimensions,
-    objective, right-hand side, and one `block row i j value` line per
-    constraint coefficient.  Meant for eyeballing, not round-tripping."""
-    lines = [f"psd_block_dims {list(prob.psd_block_dims)}",
-             f"free_dim {prob.free_dim}",
-             f"rhs {prob.rhs.tolist()}"]
-    if prob.free_dim:
-        lines.append(f"objective_linear {prob.lin.tolist()}")
-        lines.append(f"objective_quad_diag {np.diag(prob.quad).tolist()}")
-        nz = np.argwhere(prob.free_coeffs != 0.0)
-        for r, c in nz:
-            lines.append(f"free {r} {c} {float(prob.free_coeffs[r, c])!r}")
-    for b, (row, i, j, val) in enumerate(prob.block_entries):
-        for r, a, bb, v in zip(row, i, j, val):
-            lines.append(f"block{b} {r} {a} {bb} {float(v)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def _nt_scaling(X: np.ndarray, Z: np.ndarray):
@@ -326,26 +247,6 @@ def _max_step(L: np.ndarray, D: np.ndarray) -> float:
     return np.inf if lam >= 0.0 else -1.0 / lam
 
 
-def _solve_free_only(prob: SdpProblem, tol: float) -> SdpSolution:
-    """No PSD blocks: an equality-constrained QP solved in one shot."""
-    p, f = prob.n_constraints, prob.free_dim
-    K = np.zeros((p + f, p + f))
-    K[:p, p:] = prob.free_coeffs
-    K[p:, :p] = prob.free_coeffs.T
-    K[p:, p:] = -prob.quad
-    rhs = np.concatenate([prob.rhs, -prob.lin])
-    try:
-        sol = np.linalg.solve(K, rhs) if p + f else np.zeros(0)
-    except np.linalg.LinAlgError as exc:
-        raise SdpError(f"degenerate free-variable problem: {exc}") from exc
-    x = sol[p:]
-    res = prob.free_coeffs @ x - prob.rhs if p else np.zeros(0)
-    rel = np.abs(res).max() / (1.0 + np.abs(prob.rhs).max()) if p else 0.0
-    obj = 0.5 * x @ prob.quad @ x + prob.lin @ x
-    status = SdpStatus.SOLVED if rel <= tol else SdpStatus.INFEASIBLE
-    return SdpSolution([], x, float(obj), float(rel), 0, status)
-
-
 def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSolution:
     """Solve the conic program to relative accuracy `tol`.
 
@@ -357,8 +258,6 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not prob.psd_block_dims:
-        return _solve_free_only(prob, tol)
 
     dims = prob.psd_block_dims
     p, f = prob.n_constraints, prob.free_dim
@@ -367,8 +266,8 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     # --- scaling: per-row equilibration, then a global variable scale so the
     # scaled right-hand side is O(1), then an objective scale.
     row_scale = np.zeros(p)
-    for (row, _, _, val) in prob.block_entries:
-        np.maximum.at(row_scale, row, np.abs(val))
+    for ent in prob.block_entries:
+        np.maximum.at(row_scale, ent.rows, np.abs(ent.coeffs))
     if f:
         row_scale = np.maximum(row_scale, np.abs(prob.free_coeffs).max(axis=1,
                                                                        initial=0.0))
@@ -385,13 +284,8 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     Q = prob.quad * (s_var / s_obj)
     q = prob.lin / s_obj
 
-    blocks = []
-    for n, ent in zip(dims, prob.block_entries):
-        if isinstance(ent, ToeplitzEntries):
-            blocks.append(_ToeplitzBlock(n, ent.rows, ent.coeffs / row_scale[ent.rows], p))
-        else:
-            row, i, j, val = ent
-            blocks.append(_Block(n, row, i, j, val / row_scale[row], p))
+    blocks = [_ToeplitzBlock(ent.rows, ent.coeffs / row_scale[ent.rows], p)
+              for ent in prob.block_entries]
 
     X = [np.eye(n) for n in dims]
     Z = [np.eye(n) for n in dims]

@@ -9,7 +9,7 @@ from chebspike import sdp
 from chebspike.blasso import (BlassoError, BlassoOptions, _refine_support,
                               assemble_dual_sdp, fit_weights, solve_blasso,
                               verify_first_order)
-from chebspike.chebyshev import cheb_grid, eval_poly
+from chebspike.chebyshev import ChebPoly, cheb_grid, eval_poly
 from chebspike.measures import DiscreteMeasure, moments, phi_matrix
 from chebspike.observation import Observation, simulate
 
@@ -18,6 +18,10 @@ SQRT2 = np.sqrt(2.0)
 
 def noiseless_obs(measure, m, d=-1):
     return simulate(measure, m, d, 0.0, seed=0)
+
+
+def subdiagonal_sums(X):
+    return np.array([np.trace(X, offset=-k) for k in range(X.shape[0])])
 
 
 class TestAssembleDualSdp:
@@ -34,13 +38,12 @@ class TestAssembleDualSdp:
         obs = Observation(np.zeros(m + 1), -1, m, 0.0)
         prob = assemble_dual_sdp(obs, lam)
         Q = lam / (m + 1) * np.eye(m + 1)
-        for b, (rows, ii, jj, vals) in enumerate(prob.block_entries):
+        for b, ent in enumerate(prob.block_entries):
             lhs = np.zeros(prob.n_constraints)
-            np.add.at(lhs, rows, vals * Q[ii, jj])
+            lhs[ent.rows] = ent.coeffs * subdiagonal_sums(Q)
             want = np.zeros(prob.n_constraints)
             want[0 if b == 0 else m + 1] = lam
-            rows_b = np.unique(rows)
-            np.testing.assert_allclose(lhs[rows_b], want[rows_b], atol=1e-14)
+            np.testing.assert_allclose(lhs[ent.rows], want[ent.rows], atol=1e-14)
 
     def test_quadratic_skips_exact_orders(self):
         obs = Observation(np.zeros(7), 2, 6, 0.0)
@@ -63,8 +66,8 @@ class TestAssembleDualSdp:
         alpha[0] = lam
         blocks = [2 * lam / (m + 1) * np.eye(m + 1), np.zeros((m + 1, m + 1))]
         lhs = prob.free_coeffs @ alpha
-        for blk, (rows, ii, jj, vals) in zip(blocks, prob.block_entries):
-            np.add.at(lhs, rows, vals * blk[ii, jj])
+        for blk, ent in zip(blocks, prob.block_entries):
+            lhs[ent.rows] += ent.coeffs * subdiagonal_sums(blk)
         np.testing.assert_allclose(lhs, prob.rhs, atol=1e-12)
 
 
@@ -147,6 +150,26 @@ class TestSolveBlasso:
         assert len(sol.measure) == 2
         with pytest.raises(BlassoError, match="dual conic solve failed"):
             solve_blasso(obs, lam, BlassoOptions(sdp_tol=tol, sdp_max_iter=k - 1))
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("m", [2, 3, 32])
+    def test_lam_above_data_sup_gives_empty(self, m):
+        x = DiscreteMeasure([-0.4, 0.5], [1.0, -0.7])
+        obs = noiseless_obs(x, m)
+        t = np.cos(np.linspace(0.0, np.pi, 20001))
+        lam = 1.05 * np.abs(eval_poly(ChebPoly(obs.y), t)).max()
+        sol = solve_blasso(obs, lam)
+        assert sol.measure.is_empty
+        assert all(v == 0.0 for v in sol.kkt_residuals.values())
+
+    @pytest.mark.parametrize("m", [2, 3, 32])
+    @pytest.mark.parametrize("lam", [1e-6, 0.1])
+    def test_first_order_residuals_across_m(self, m, lam):
+        x = DiscreteMeasure([-0.4, 0.5], [1.0, -0.7])
+        sol = solve_blasso(noiseless_obs(x, m), lam)
+        assert sol.kkt_residuals["tv_identity_gap"] <= 1e-6 * lam
+        assert sol.kkt_residuals["feasibility_gap"] <= 1e-6 * lam
 
 
 class TestFitWeights:

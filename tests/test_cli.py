@@ -195,6 +195,38 @@ class TestRecoverSpline:
         b = boundary_vector(spline_from_dict(f))
         assert summary["boundary_residual"] <= 1e-8 * (1.0 + np.abs(b).max())
 
+    def test_cap_clipping_merges_near_duplicate_atoms(self, tmp_path,
+                                                      monkeypatch):
+        # the located support has roots at 0.99983 and 1.0; clipping the
+        # second to the interior cap put it 5e-5 from the first
+        from chebspike import blasso
+        f = {"degree": 2,
+             "knots": [-0.9608825852468489, -0.14251791243960354,
+                       0.8018828577059752],
+             "pieces": [[-0.14048818342881764, 0.31667274325519457,
+                         -0.20805057352611533],
+                        [-4594.477799829979, -9562.4277919538,
+                         -4976.229372804277],
+                        [-4694.443076098765, -10965.272873776763,
+                         -9897.874160498814],
+                        [-7413.450313342797, -4183.715664728642,
+                         -14126.395286669776]]}
+        handed = []
+        real = blasso._refine_support
+
+        def spy(support, *args):
+            handed.append(support.copy())
+            return real(support, *args)
+
+        monkeypatch.setattr(blasso, "_refine_support", spy)
+        cfg = {"m": 32, "sigma0": 0.0005, "seed": 4279199008695476619,
+               "out_dir": str(tmp_path / "out"), "target": {"spline": f}}
+        assert cli.main(["recover-spline", "--config",
+                         write_cfg(tmp_path, "c.json", cfg)]) == cli.EXIT_OK
+        assert len(handed) == 1
+        theta = np.sort(np.arccos(handed[0]))
+        assert np.diff(theta).min() > 0.5 / 32
+
     def test_profile_schema(self, tmp_path):
         out = tmp_path / "out"
         cfg = {"m": 10, "sigma0": 0.0005, "seed": 3, "out_dir": str(out),

@@ -6,36 +6,19 @@ import pytest
 from chebspike import sdp
 
 
-def scalar_quadratic():
-    return sdp.SdpProblem(psd_block_dims=(), free_dim=1, rhs=np.zeros(0),
-                          block_entries=[], quad=np.array([[2.0]]))
-
-
 def pinned_psd_scalar():
-    ent = (np.array([0]), np.array([0]), np.array([0]), np.array([1.0]))
-    return sdp.SdpProblem(psd_block_dims=(1,), free_dim=0,
-                          rhs=np.array([3.0]), block_entries=[ent])
+    return sdp.SdpProblem(free_dim=0, rhs=np.array([3.0]),
+                          block_entries=[sdp.ToeplitzEntries([0], [1.0])])
 
 
 def trig_cone_problem(r1):
     """2x2 Gram block with diagonal sum 1 and subdiagonal sum r1; feasible
     exactly when the cosine polynomial 1 + 2 r1 cos is nonnegative."""
-    rows = np.array([0, 0, 1])
-    ii = np.array([0, 1, 1])
-    jj = np.array([0, 1, 0])
-    vals = np.array([1.0, 1.0, 1.0])
-    return sdp.SdpProblem(psd_block_dims=(2,), free_dim=0,
-                          rhs=np.array([1.0, r1]),
-                          block_entries=[(rows, ii, jj, vals)])
+    return sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, r1]),
+                          block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 1.0])])
 
 
 class TestBasicSolves:
-    def test_free_quadratic_minimum(self):
-        sol = sdp.solve(scalar_quadratic())
-        assert sol.status == sdp.SdpStatus.SOLVED
-        assert sol.free_vector[0] == pytest.approx(0.0, abs=1e-12)
-        assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
-
     def test_pinned_psd_scalar(self):
         sol = sdp.solve(pinned_psd_scalar())
         assert sol.status == sdp.SdpStatus.SOLVED
@@ -81,23 +64,43 @@ class TestSolutionInvariants:
 
 class TestValidation:
     def test_empty_constraint_row_rejected(self):
-        ent = (np.array([0]), np.array([0]), np.array([0]), np.array([1.0]))
         with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(psd_block_dims=(1,), free_dim=0,
-                           rhs=np.array([1.0, 2.0]), block_entries=[ent])
+            sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, 2.0]),
+                           block_entries=[sdp.ToeplitzEntries([0], [1.0])])
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, 2.0]),
+                           block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 0.0])])
 
     def test_shape_checks(self):
+        ent = [sdp.ToeplitzEntries([0, 1], [1.0, 1.0])]
+        for bad in ({"free_coeffs": np.ones((1, 1))}, {"quad": np.ones((2, 2))},
+                    {"lin": np.ones(2)}):
+            with pytest.raises(sdp.SdpError):
+                sdp.SdpProblem(free_dim=1, rhs=np.ones(2), block_entries=ent, **bad)
         with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(psd_block_dims=(2,), free_dim=1,
-                           rhs=np.array([1.0]),
-                           block_entries=[(np.array([0]), np.array([5]),
-                                           np.array([0]), np.array([1.0]))])
+            sdp.SdpProblem(free_dim=0, rhs=np.ones(4), block_entries=ent)
+
+    def test_block_dims_follow_entries(self):
+        prob = sdp.SdpProblem(free_dim=0, rhs=np.ones(5),
+                              block_entries=[sdp.ToeplitzEntries([0, 1, 2], np.ones(3)),
+                                             sdp.ToeplitzEntries([3, 4], np.ones(2))])
+        assert prob.psd_block_dims == (3, 2)
+        with pytest.raises(AttributeError):
+            prob.psd_block_dims = (2, 2)
+
+    def test_only_toeplitz_blocks_accepted(self):
+        triplet = (np.array([0]), np.array([0]), np.array([0]), np.array([1.0]))
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(free_dim=0, rhs=np.ones(1), block_entries=[triplet])
+        # a problem without a PSD block is not a conic program here
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(free_dim=1, rhs=np.zeros(0), block_entries=[],
+                           quad=np.array([[2.0]]))
 
     def test_quadratic_objective_with_constraint(self):
         # minimize x^2 with PSD scalar X and constraint X + x = 2
-        ent = (np.array([0]), np.array([0]), np.array([0]), np.array([1.0]))
-        prob = sdp.SdpProblem(psd_block_dims=(1,), free_dim=1,
-                              rhs=np.array([2.0]), block_entries=[ent],
+        prob = sdp.SdpProblem(free_dim=1, rhs=np.array([2.0]),
+                              block_entries=[sdp.ToeplitzEntries([0], [1.0])],
                               free_coeffs=np.array([[1.0]]),
                               quad=np.array([[2.0]]))
         sol = sdp.solve(prob)
@@ -142,27 +145,6 @@ class TestAgainstExternalSolver:
         np.testing.assert_allclose(mine.free_vector, alpha.value, atol=2e-5)
 
 
-class TestProblemDump:
-    def test_text_dump_lists_structure(self):
-        ent = (np.array([0]), np.array([0]), np.array([0]), np.array([1.0]))
-        prob = sdp.SdpProblem(psd_block_dims=(1,), free_dim=1,
-                              rhs=np.array([2.0]), block_entries=[ent],
-                              free_coeffs=np.array([[1.0]]),
-                              quad=np.array([[2.0]]))
-        text = sdp.problem_to_text(prob)
-        assert "psd_block_dims [1]" in text
-        assert "free_dim 1" in text
-        assert "block0 0 0 0 1.0" in text
-        assert "free 0 0 1.0" in text
-
-
-def toeplitz_trig_cone_problem(r1):
-    """trig_cone_problem(r1) with its block declared in Toeplitz form."""
-    return sdp.SdpProblem(psd_block_dims=(2,), free_dim=0,
-                          rhs=np.array([1.0, r1]),
-                          block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 1.0])])
-
-
 def psd_matrix(rng, n, eigenvalues):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     W = (Q * eigenvalues) @ Q.T
@@ -173,9 +155,21 @@ def max_rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+def dense_reference(ent, W, nu):
+    """apply, adjoint and Schur part of a Toeplitz block from its constraint
+    matrices A_k = v_k (E_k + E_-k) / 2, formed explicitly (E_d has ones
+    where row - column = d)."""
+    n = ent.rows.size
+    A = np.array([0.5 * v * (np.eye(n, k=-k) + np.eye(n, k=k))
+                  for k, v in enumerate(ent.coeffs)])
+    AW = A @ W
+    return (np.tensordot(A, W), np.tensordot(nu[ent.rows], A, axes=1),
+            np.tensordot(AW, AW, axes=([1, 2], [2, 1])))
+
+
 class TestToeplitzAgainstSparse:
-    """The FFT Toeplitz operator against the sparse block built from the
-    same constraint triplets."""
+    """The FFT Toeplitz operators against the sparse constraint matrices
+    they stand for, formed as dense arrays."""
 
     @pytest.mark.parametrize("n", [2, 3, 33, 129])
     @pytest.mark.parametrize("conditioning", ["random", "ill"])
@@ -184,56 +178,33 @@ class TestToeplitzAgainstSparse:
         p = 2 * n + 1
         ent = sdp.ToeplitzEntries(rng.permutation(p)[:n],
                                   rng.uniform(0.2, 5.0, n))
-        fast = sdp._ToeplitzBlock(n, ent.rows, ent.coeffs, p)
-        ref = sdp._Block(n, *ent, p)
+        fast = sdp._ToeplitzBlock(ent.rows, ent.coeffs, p)
         eig = (rng.uniform(0.1, 3.0, n) if conditioning == "random"
                else np.logspace(-10, 4, n))
         W = psd_matrix(rng, n, eig)
-        assert max_rel(fast.apply(W), ref.apply(W)) <= 1e-13
         nu = rng.standard_normal(p)
-        assert max_rel(fast.adjoint(nu), ref.adjoint(nu)) <= 1e-13
-        H = []
-        for blk in (fast, ref):
-            act, Hb = blk.schur(W)
-            full = np.zeros((p, p))
-            full[np.ix_(act, act)] = Hb
-            H.append(full)
-        assert max_rel(H[0], H[1]) <= 1e-13
-
-    def test_dual_solve_matches_triplet_twin(self):
-        from chebspike.blasso import assemble_dual_sdp
-        from chebspike.measures import DiscreteMeasure
-        from chebspike.observation import lambda_rice, simulate
-
-        m, sigma = 32, 1e-3
-        x = DiscreteMeasure([-0.5, 0.1, 0.6], [1.0, -1.4, 0.8])
-        obs = simulate(x, m, -1, sigma, seed=3)
-        prob = assemble_dual_sdp(obs, lambda_rice(sigma, m, -1, 1.0))
-        assert all(isinstance(e, sdp.ToeplitzEntries) for e in prob.block_entries)
-        twin = sdp.SdpProblem(psd_block_dims=prob.psd_block_dims,
-                              free_dim=prob.free_dim, rhs=prob.rhs,
-                              block_entries=[tuple(e) for e in prob.block_entries],
-                              free_coeffs=prob.free_coeffs, quad=prob.quad,
-                              lin=prob.lin)
-        assert sdp.problem_to_text(prob) == sdp.problem_to_text(twin)
-        a, b = sdp.solve(prob), sdp.solve(twin)
-        assert a.status == b.status == sdp.SdpStatus.SOLVED
-        assert a.iterations == b.iterations
-        np.testing.assert_allclose(a.free_vector, b.free_vector, rtol=0, atol=1e-10)
+        apply_ref, adjoint_ref, schur_ref = dense_reference(ent, W, nu)
+        assert max_rel(fast.apply(W)[ent.rows], apply_ref) <= 1e-13
+        assert np.all(np.delete(fast.apply(W), ent.rows) == 0.0)
+        assert max_rel(fast.adjoint(nu), adjoint_ref) <= 1e-13
+        act, H = fast.schur(W)
+        np.testing.assert_array_equal(act, ent.rows)
+        assert max_rel(H, schur_ref) <= 1e-13
 
     @pytest.mark.parametrize("r1,status", [(0.4, sdp.SdpStatus.SOLVED),
                                            (0.6, sdp.SdpStatus.INFEASIBLE)])
     def test_trig_cone_status(self, r1, status):
-        assert sdp.solve(toeplitz_trig_cone_problem(r1), max_iter=80).status == status
+        assert sdp.solve(trig_cone_problem(r1), max_iter=80).status == status
 
     def test_entries_validated(self):
         with pytest.raises(sdp.SdpError):
             sdp.ToeplitzEntries([0, 0], [1.0, 1.0])
         with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(psd_block_dims=(3,), free_dim=0, rhs=np.ones(2),
-                           block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 1.0])])
+            sdp.ToeplitzEntries([0, 1], [1.0])
         with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(psd_block_dims=(2,), free_dim=0, rhs=np.ones(2),
+            sdp.ToeplitzEntries([], [])
+        with pytest.raises(sdp.SdpError):
+            sdp.SdpProblem(free_dim=0, rhs=np.ones(2),
                            block_entries=[sdp.ToeplitzEntries([0, 2], [1.0, 1.0])])
 
 
@@ -255,3 +226,20 @@ class TestNumericalFloor:
         assert sol.iterations == 3
         assert sol.iteration_log[-1]["stop"] == "non-finite direction"
         assert all("stop" not in row for row in sol.iteration_log[:-1])
+
+    def test_mu_floor_marks_the_last_row(self):
+        # a tolerance below roundoff: the solve ends at the numerical floor
+        sol = sdp.solve(trig_cone_problem(0.45), tol=1e-20)
+        assert sol.iteration_log[-1]["stop"] == "numerical floor"
+        assert all("stop" not in row for row in sol.iteration_log[:-1])
+
+
+class TestCholeskyJitter:
+    def test_singular_psd_factors_with_jitter(self):
+        M = np.ones((3, 3))
+        L = sdp._chol(M)
+        assert np.abs(L @ L.T - M).max() <= 1e-13
+
+    def test_indefinite_raises(self):
+        with pytest.raises(sdp.SdpError):
+            sdp._chol(np.diag([1.0, -1.0]))
