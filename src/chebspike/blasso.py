@@ -62,6 +62,7 @@ class PrimalSolution:
     duality_gap_rel: float
     sdp_gap: float
     sdp_iterations: int
+    sdp_log: list                 # the IPM's iteration log (`SdpSolution`)
     solve_seconds: float
 
     def primal_objective(self) -> float:
@@ -480,7 +481,7 @@ def solve_blasso(obs: Observation, lam: float,
         measure=measure, dual=dual, kkt_residuals={}, degenerate=degenerate,
         observation=obs, lam=lam, multipliers=multipliers,
         duality_gap_rel=0.0, sdp_gap=ssol.gap, sdp_iterations=ssol.iterations,
-        solve_seconds=elapsed)
+        sdp_log=ssol.iteration_log, solve_seconds=elapsed)
     kkt = verify_first_order(sol)
     pobj = sol.primal_objective()
     gap_rel = abs(pobj + dual_obj) / (1.0 + abs(pobj))

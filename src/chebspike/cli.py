@@ -425,8 +425,9 @@ MODES = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+def _shared_flags(argument_default=None) -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argument_default)
     shared.add_argument("--config", help="JSON config file")
     shared.add_argument("--seed", type=int)
     shared.add_argument("--out-dir")
@@ -435,14 +436,21 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--eta", type=float)
     shared.add_argument("--assert", dest="check", action="store_true",
                         help="exit 4 when the run's report does not pass")
+    return shared
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="chebspike", parents=[shared],
+        prog="chebspike", parents=[_shared_flags()],
         description="Spike and non-uniform spline recovery from Chebyshev moments")
     parser.add_argument("--mode", choices=sorted(MODES),
                         help="run mode (alternative to the subcommand form)")
     sub = parser.add_subparsers(dest="subcommand")
+    # the subcommands' flags carry no defaults, so a flag given before the
+    # subcommand is not overwritten by the subcommand's unset copy of it
+    after = _shared_flags(argument_default=argparse.SUPPRESS)
     for name in sorted(MODES):
-        sub.add_parser(name, parents=[shared])
+        sub.add_parser(name, parents=[after])
     return parser
 
 

@@ -18,10 +18,14 @@ The solver is a Nesterov-Todd scaled primal-dual path-following method with
 a Mehrotra predictor-corrector step.  Each Newton system is reduced to a
 dense Schur complement over the constraint multipliers; each block forms its
 part from one FFT autocorrelation of the scaling matrix, O(n^2 log n) for an
-n x n block, so the per-iteration cost is a handful of dense factorizations
-and level-3 BLAS products on matrices of the block dimensions; intended for
-dimensions up to a few hundred.  The method is deterministic: identical
-inputs produce identical iterates.
+n x n block, with the row transforms run over the n nonzero rows only.  Step
+lengths are taken in the NT-scaled space: with X = R S R', Z = R^-T S R^-1
+(S = diag(sv)), the step to the boundary of X is -1/lambda_min of
+S^-1/2 (R^-1 dX R^-T) S^-1/2, and of Z the same with R' dZ R, so each needs
+one smallest eigenvalue and no factorization.  The per-iteration cost is a
+handful of dense factorizations and level-3 BLAS products on matrices of the
+block dimensions; intended for dimensions up to a few hundred.  The method
+is deterministic: identical inputs produce identical iterates.
 
 Dual pair used internally (Z_b are the multipliers of the PSD constraints,
 nu of the equalities)::
@@ -196,25 +200,25 @@ class _ToeplitzBlock:
     def schur(self, W: np.ndarray) -> tuple:
         """tr(E_d W E_e W) = c[d, -e] with c the 2-D autocorrelation of W;
         c[-d, -e] = c[d, e] folds the four terms of each A_k, A_l pair."""
-        n, s = self.n, (self.fft_len, self.fft_len)
-        F = np.fft.rfft2(W, s=s)
-        c = np.fft.irfft2(F.real ** 2 + F.imag ** 2, s=s)
-        H = 0.5 * (c[:n, :n] + c[:n, self.neg])
+        n, L = self.n, self.fft_len
+        # W has n nonzero rows and only lags d = 0 .. n-1 are read, so the
+        # row transforms run over those n rows only
+        F = sfft.fft(sfft.rfft(W, n=L, axis=1), n=L, axis=0)
+        c = sfft.irfft(sfft.ifft(F.real ** 2 + F.imag ** 2, axis=0)[:n], n=L, axis=1)
+        H = 0.5 * (c[:, :n] + c[:, self.neg])
         return self.active, self.v[:, None] * H * self.v[None, :]
 
 
 def _nt_scaling(X: np.ndarray, Z: np.ndarray):
-    """NT scaling point: returns (R, Rinv, W, sv, Lx, Lz) with W Z W = X,
-    X = R diag(sv) R', Z = Rinv' diag(sv) Rinv, and Lx, Lz the Cholesky
-    factors of X and Z."""
-    Lx = _chol(X)
-    Lz = _chol(Z)
+    """NT scaling point: returns (R, Rinv, W, sv) with W Z W = X,
+    X = R diag(sv) R' and Z = Rinv' diag(sv) Rinv."""
+    Lx, Lz = _chol(X), _chol(Z)
     U, sv, Vt = np.linalg.svd(Lz.T @ Lx)
     sq = np.sqrt(sv)
     R = Lx @ (Vt.T / sq[None, :])
     Rinv = (U / sq[None, :]).T @ Lz.T
     W = R @ R.T
-    return R, Rinv, 0.5 * (W + W.T), sv, Lx, Lz
+    return R, Rinv, 0.5 * (W + W.T), sv
 
 
 def _chol(M: np.ndarray) -> np.ndarray:
@@ -233,17 +237,19 @@ def _kkt_solve(lu, K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     two steps of iterative refinement.  Non-finite values are passed
     through, not raised, for the caller to treat as the numerical floor."""
     sol = sla.lu_solve(lu, rhs, check_finite=False)
-    for _ in range(2):
-        sol += sla.lu_solve(lu, rhs - K @ sol, check_finite=False)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(2):
+            sol += sla.lu_solve(lu, rhs - K @ sol, check_finite=False)
     return sol
 
 
-def _max_step(L: np.ndarray, D: np.ndarray) -> float:
-    """sup alpha with L L' + alpha D psd."""
-    S = sla.solve_triangular(L, D, lower=True)
-    S = sla.solve_triangular(L, S.T, lower=True)
-    w = np.linalg.eigvalsh(0.5 * (S + S.T))
-    lam = w[0]
+def _max_step(sv: np.ndarray, Dt: np.ndarray) -> float:
+    """sup alpha with diag(sv) + alpha Dt psd, for sv > 0: the step to the
+    boundary of a block in the NT-scaled space (Dt = Rinv dX Rinv' for X,
+    R' dZ R for Z)."""
+    s = 1.0 / np.sqrt(sv)
+    S = s[:, None] * Dt * s[None, :]
+    lam = sla.eigh(0.5 * (S + S.T), eigvals_only=True, subset_by_index=[0, 0])[0]
     return np.inf if lam >= 0.0 else -1.0 / lam
 
 
@@ -353,24 +359,16 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         # NT scalings and Schur complement
         scal = [_nt_scaling(Xb, Zb) for Xb, Zb in zip(X, Z)]
         H = np.zeros((p, p))
-        for blk, (R, Rinv, W, sv, _, _) in zip(blocks, scal):
+        for blk, (R, Rinv, W, sv) in zip(blocks, scal):
             act, Hb = blk.schur(W)
             H[np.ix_(act, act)] += Hb
         H = 0.5 * (H + H.T)
-        K0 = np.zeros((p + f, p + f))
-        K0[:p, :p] = H
-        if f:
-            K0[:p, p:] = F
-            K0[p:, :p] = F.T
-            K0[p:, p:] = -Q
+        K0 = np.block([[H, F], [F.T, -Q]])
         lu = None
         reg = 0.0
         for attempt in range(4):
-            K = K0.copy()
-            if reg:
-                K[:p, :p] += reg * np.eye(p)
-                if f:
-                    K[p:, p:] -= reg * np.eye(f)
+            # regularization keeps the quasi-definite sign pattern
+            K = K0 + reg * np.diag(np.r_[np.ones(p), -np.ones(f)])
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -385,14 +383,17 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         if lu is None:
             raise SdpError("KKT system is numerically singular")
 
+        # the parts of the dX relation that do not depend on sigma
+        Zinv = [(R / sv[None, :]) @ R.T for R, Rinv, W, sv in scal]
+        WrW = [W @ rc @ W for (R, Rinv, W, sv), rc in zip(scal, r_c)]
+
         def newton(sigma_mu, corr):
             """Direction for target sigma*mu, optional corrector matrices;
             None when roundoff made it non-finite."""
             D = []
             g1 = r_p.copy()
-            for b, (blk, (R, Rinv, W, sv, _, _)) in enumerate(zip(blocks, scal)):
-                Zinv = (R / sv[None, :]) @ R.T
-                Db = sigma_mu * Zinv - X[b] - W @ r_c[b] @ W
+            for b, blk in enumerate(blocks):
+                Db = sigma_mu * Zinv[b] - X[b] - WrW[b]
                 if corr is not None:
                     Db -= corr[b]
                 D.append(Db)
@@ -404,40 +405,39 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             dnu, dx = sol[:p], sol[p:]
             dZ = [rc - blk.adjoint(dnu) for rc, blk in zip(r_c, blocks)]
             dX = []
-            for b, (blk, (R, Rinv, W, sv, _, _)) in enumerate(zip(blocks, scal)):
+            for b, (blk, (R, Rinv, W, sv)) in enumerate(zip(blocks, scal)):
                 M = D[b] + W @ blk.adjoint(dnu) @ W
                 dX.append(0.5 * (M + M.T))
-            return dX, dZ, dx, dnu
-
-        Lx = [sc[4] for sc in scal]
-        Lz = [sc[5] for sc in scal]
+            # the direction in the NT-scaled space, where step lengths are taken
+            dXt = [Rinv @ dxb @ Rinv.T for (R, Rinv, W, sv), dxb in zip(scal, dX)]
+            dZt = [R.T @ dzb @ R for (R, Rinv, W, sv), dzb in zip(scal, dZ)]
+            ap = min(_max_step(sc[3], Dt) for sc, Dt in zip(scal, dXt))
+            ad = min(_max_step(sc[3], Dt) for sc, Dt in zip(scal, dZt))
+            return dX, dZ, dx, dnu, dXt, dZt, ap, ad
 
         # predictor
         step = newton(0.0, None)
         if step is None:
             log[-1]["stop"] = "non-finite direction"
             break
-        dXa, dZa, dxa, dnua = step
-        ap = min([1.0] + [_max_step(L, D) for L, D in zip(Lx, dXa)])
-        ad = min([1.0] + [_max_step(L, D) for L, D in zip(Lz, dZa)])
+        dXa, dZa, _, _, dXt, dZt, ap, ad = step
+        ap, ad = min(1.0, ap), min(1.0, ad)
         gap_aff = sum(float(np.tensordot(Xb + ap * dxb, Zb + ad * dzb))
                       for Xb, dxb, Zb, dzb in zip(X, dXa, Z, dZa))
         sigma = min(0.999, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
 
         # corrector with second-order term in the scaled space
-        corr = []
-        for (R, Rinv, W, sv, _, _), dxb, dzb in zip(scal, dXa, dZa):
-            dXt = Rinv @ dxb @ Rinv.T
-            dZt = R.T @ dzb @ R
-            C = 0.5 * (dXt @ dZt + dZt @ dXt)
-            corr.append(R @ C @ R.T)
+        corr = [R @ (0.5 * (xt @ zt + zt @ xt)) @ R.T
+                for (R, Rinv, W, sv), xt, zt in zip(scal, dXt, dZt)]
+        # the predictor's arrays would raise the corrector's peak memory
+        del dXa, dZa, dXt, dZt, step
         step = newton(sigma * mu, corr)
         if step is None:
             log[-1]["stop"] = "non-finite direction"
             break
-        dX, dZ, dx, dnu = step
-        ap = min(1.0, gamma * min([np.inf] + [_max_step(L, D) for L, D in zip(Lx, dX)]))
-        ad = min(1.0, gamma * min([np.inf] + [_max_step(L, D) for L, D in zip(Lz, dZ)]))
+        dX, dZ, dx, dnu, _, _, ap, ad = step
+        del step, _, corr
+        ap, ad = min(1.0, gamma * ap), min(1.0, gamma * ad)
 
         for _ in range(4):
             Xn = [Xb + ap * dxb for Xb, dxb in zip(X, dX)]

@@ -8,7 +8,7 @@ import pytest
 from chebspike import sdp
 from chebspike.blasso import (BlassoError, BlassoOptions, _refine_support,
                               assemble_dual_sdp, fit_weights, solve_blasso,
-                              verify_first_order)
+                              solution_to_dict, verify_first_order)
 from chebspike.chebyshev import ChebPoly, cheb_grid, eval_poly
 from chebspike.measures import DiscreteMeasure, moments, phi_matrix
 from chebspike.observation import Observation, simulate
@@ -108,6 +108,16 @@ class TestSolveBlasso:
         assert c0 == pytest.approx(1.5, abs=1e-3)
         assert len(sol.measure) <= 8 + 2
         assert np.all(sol.measure.weights > 0)
+
+    def test_keeps_the_sdp_iteration_log(self):
+        x = DiscreteMeasure([-0.5, 0.3], [-0.8, 1.5])
+        sol = solve_blasso(noiseless_obs(x, 32), 1e-6)
+        assert len(sol.sdp_log) == sol.sdp_iterations
+        assert [row["iter"] for row in sol.sdp_log] == list(range(sol.sdp_iterations))
+        last = sol.sdp_log[-1]
+        assert max(last["rp"], last["rd"], last["rc"], abs(last["gap"])) == sol.sdp_gap
+        # the log is not part of the byte-reproducible artifact
+        assert "sdp_log" not in solution_to_dict(sol)
 
     def test_dual_feasibility_invariant(self):
         x = DiscreteMeasure([-0.6, 0.2, 0.7], [1.0, -1.0, 0.5])

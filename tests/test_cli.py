@@ -327,3 +327,34 @@ class TestFlagOverrides:
         assert code == cli.EXIT_OK
         summary = json.loads((out / "run.json").read_text())
         assert summary["lam"] == 1e-5
+
+    def test_flags_before_the_subcommand_apply(self, tmp_path):
+        out = tmp_path / "flagged"
+        x = DiscreteMeasure([0.0], [1.0])
+        cfg = {"m": 12, "sigma": 0.0, "seed": 0,
+               "out_dir": str(tmp_path / "ignored"),
+               "target": {"measure": measure_to_dict(x)}}
+        code = cli.main(["--config", write_cfg(tmp_path, "c.json", cfg),
+                         "--out-dir", str(out), "--lambda", "1e-5", "recover-spikes"])
+        assert code == cli.EXIT_OK
+        assert json.loads((out / "run.json").read_text())["lam"] == 1e-5
+
+    def test_parsed_flags_in_both_positions(self):
+        parser = cli.build_parser()
+        for argv in (["--seed", "3", "recover-spikes"], ["recover-spikes", "--seed", "3"]):
+            args = parser.parse_args(argv)
+            assert (args.seed, args.subcommand, args.check) == (3, "recover-spikes", False)
+        # given twice, the subcommand's flag wins
+        assert parser.parse_args(["--seed", "1", "recover-spikes", "--seed", "3"]).seed == 3
+        for argv in (["--assert", "sweep"], ["sweep", "--assert"]):
+            assert parser.parse_args(argv).check is True
+        assert parser.parse_args(["sweep"]).seed is None
+
+    def test_assert_before_the_subcommand(self, tmp_path):
+        out = tmp_path / "out"
+        base = {"mode": "recover-spline", "m": 10,
+                "target": {"spline": spline_to_dict(demo_spline())}}
+        cfg = {"axis": "m", "values": [10, 1], "base": base,
+               "seed": 1, "out_dir": str(out)}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert cli.main(["--assert", "sweep", "--config", path]) == cli.EXIT_ASSERT

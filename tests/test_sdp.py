@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebspike import sdp
 
@@ -243,3 +246,87 @@ class TestCholeskyJitter:
     def test_indefinite_raises(self):
         with pytest.raises(sdp.SdpError):
             sdp._chol(np.diag([1.0, -1.0]))
+
+
+SPECTRA = {"random": lambda rng, n: rng.uniform(0.1, 3.0, n),
+           "ill": lambda rng, n: np.logspace(-6, 2, n),
+           "very ill": lambda rng, n: np.logspace(-10, 4, n)}
+
+
+def central_pair(rng, n, spectrum, mu=0.5):
+    """X with the given spectrum and Z = mu P X^-1 P, P within 0.1 of the
+    identity: a pair near the central path, as the IPM's iterates are."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = rng.permutation(SPECTRA[spectrum](rng, n))
+    S = rng.standard_normal((n, n))
+    S = S + S.T
+    P = np.eye(n) + 0.1 * S / np.linalg.norm(S, 2)
+    X = (Q * eig) @ Q.T
+    Z = mu * P @ ((Q / eig) @ Q.T) @ P
+    return 0.5 * (X + X.T), 0.5 * (Z + Z.T)
+
+
+def cholesky_max_step(L, D):
+    """The step length by Cholesky factor and triangular solves: sup alpha
+    with L L' + alpha D psd."""
+    S = sla.solve_triangular(L, D, lower=True)
+    S = sla.solve_triangular(L, S.T, lower=True)
+    lam = np.linalg.eigvalsh(0.5 * (S + S.T))[0]
+    return np.inf if lam >= 0.0 else -1.0 / lam
+
+
+class TestNtScaling:
+    @pytest.mark.parametrize("n", [2, 3, 33, 129])
+    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+    def test_scaling_identities(self, n, spectrum):
+        rng = np.random.default_rng(n)
+        X, Z = central_pair(rng, n, spectrum)
+        R, Rinv, W, sv = sdp._nt_scaling(X, Z)
+        assert max_rel((R * sv) @ R.T, X) <= 1e-13
+        assert max_rel((Rinv.T * sv) @ Rinv, Z) <= 1e-13
+        assert max_rel(W @ Z @ W, X) <= 1e-7
+        assert np.abs(R @ Rinv - np.eye(n)).max() <= 1e-8
+
+
+class TestMaxStep:
+    """The step length in the NT-scaled space against the Cholesky path it
+    replaced, on directions of the size an IPM step has."""
+
+    @pytest.mark.parametrize("n", [2, 3, 33, 129])
+    @pytest.mark.parametrize("spectrum,bound", [("random", 1e-12), ("ill", 1e-6)])
+    def test_matches_cholesky_path(self, n, spectrum, bound):
+        rng = np.random.default_rng(n + 1)
+        X, Z = central_pair(rng, n, spectrum)
+        R, Rinv, W, sv = sdp._nt_scaling(X, Z)
+        for _ in range(3):
+            E = rng.standard_normal((n, n))
+            E = E + E.T
+            E *= rng.uniform(0.5, 2.0) / np.linalg.norm(E, 2)
+            Et = np.sqrt(np.outer(sv, sv)) * E
+            dX = R @ Et @ R.T
+            dZ = Rinv.T @ Et @ Rinv
+            want = cholesky_max_step(np.linalg.cholesky(X), dX)
+            got = sdp._max_step(sv, Rinv @ dX @ Rinv.T)
+            assert abs(got - want) <= bound * want
+            want = cholesky_max_step(np.linalg.cholesky(Z), dZ)
+            got = sdp._max_step(sv, R.T @ dZ @ R)
+            assert abs(got - want) <= bound * want
+
+    def test_psd_direction_is_unbounded(self):
+        assert sdp._max_step(np.array([1.0, 2.0]), np.diag([0.5, 0.0])) == np.inf
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_step_reaches_the_boundary(self, n, seed):
+        rng = np.random.default_rng(seed)
+        X, Z = central_pair(rng, n, "random")
+        R, Rinv, W, sv = sdp._nt_scaling(X, Z)
+        D = rng.standard_normal((n, n))
+        D = D + D.T
+        alpha = sdp._max_step(sv, Rinv @ D @ Rinv.T)
+        if np.isinf(alpha):
+            np.linalg.cholesky(X + 1e3 * D)
+            return
+        np.linalg.cholesky(X + 0.99 * alpha * D)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(X + 1.01 * alpha * D)
