@@ -22,10 +22,21 @@ n x n block, with the row transforms run over the n nonzero rows only.  Step
 lengths are taken in the NT-scaled space: with X = R S R', Z = R^-T S R^-1
 (S = diag(sv)), the step to the boundary of X is -1/lambda_min of
 S^-1/2 (R^-1 dX R^-T) S^-1/2, and of Z the same with R' dZ R, so each needs
-one smallest eigenvalue and no factorization.  The per-iteration cost is a
-handful of dense factorizations and level-3 BLAS products on matrices of the
-block dimensions; intended for dimensions up to a few hundred.  The method
-is deterministic: identical inputs produce identical iterates.
+one smallest eigenvalue and no factorization.  Intended for block
+dimensions up to a few hundred.
+
+Every iterate is centrosymmetric (J X_b J = X_b, J Z_b J = Z_b, J the
+exchange matrix), so each block is carried as its halves on the even vectors
+(e_i + e_{n-1-i})/sqrt(2), plus e_mid for odd n, and on the odd vectors
+(e_i - e_{n-1-i})/sqrt(2): sizes ceil(n/2) and floor(n/2).  This symmetry
+reduction (Gatermann & Parrilo, J. Pure Appl. Algebra 2004) is exact here:
+every A_rb is symmetric Toeplitz and commutes with J, so does the start
+X = Z = I, and the NT scaling, Z^-1, W r_c W and the corrector term are
+equivariant under M -> J M J.  The NT scalings, step lengths and updates
+run per half, about a quarter of the dense work of a full block; apply,
+adjoint and the Schur complement stay on the full blocks, reached by O(n^2)
+slicing (`_split`, `_join`).  The method is deterministic: identical inputs
+produce identical iterates.
 
 Dual pair used internally (Z_b are the multipliers of the PSD constraints,
 nu of the equalities)::
@@ -48,7 +59,10 @@ leaving the symmetric quasi-definite system
 While the complementarity gap and residuals generally decrease monotonically,
 a step that would increase the combined merit (relative gap plus relative
 residuals) more than tenfold is halved up to three times before being
-accepted; this is the safeguard referred to in the iteration log.
+accepted; this is the safeguard referred to in the iteration log.  A
+vanishing gap, a non-finite Schur complement or a non-finite Newton
+direction ends the solve at the numerical floor, named under `stop` in the
+last log row.
 """
 
 from __future__ import annotations
@@ -60,6 +74,7 @@ from enum import Enum
 import numpy as np
 import scipy.fft as sfft
 import scipy.linalg as sla
+from scipy.linalg.lapack import dsyevr
 
 
 class SdpStatus(Enum):
@@ -249,8 +264,46 @@ def _max_step(sv: np.ndarray, Dt: np.ndarray) -> float:
     R' dZ R for Z)."""
     s = 1.0 / np.sqrt(sv)
     S = s[:, None] * Dt * s[None, :]
-    lam = sla.eigh(0.5 * (S + S.T), eigvals_only=True, subset_by_index=[0, 0])[0]
-    return np.inf if lam >= 0.0 else -1.0 / lam
+    # LAPACK directly: at half sizes near 16 the scipy.linalg.eigh wrapper
+    # costs more than the eigenvalue (36 against 16 us at n = 17)
+    w, _, _, _, info = dsyevr(0.5 * (S + S.T), compute_v=0, range="I", il=1, iu=1,
+                              overwrite_a=1)
+    if info != 0:
+        raise SdpError(f"step-length eigenvalue failed (LAPACK info {info})")
+    return np.inf if w[0] >= 0.0 else -1.0 / w[0]
+
+
+def _split(M: np.ndarray) -> list:
+    """Halves of a centrosymmetric M (J M J = M, J the exchange matrix) in
+    the orthonormal basis (e_i +- e_{n-1-i}) / sqrt(2), plus e_mid for odd n:
+    [even (ceil(n/2) square), odd (floor(n/2) square)], or [M] for n = 1.
+    Only the first ceil(n/2) rows of M are read."""
+    n = M.shape[0]
+    h = n // 2
+    A, B = M[:h, :h], M[:h, :n - h - 1:-1]
+    Me = np.empty((n - h, n - h))
+    Me[:h, :h] = A + B
+    if n % 2:
+        Me[:h, h] = np.sqrt(2.0) * M[:h, h]
+        Me[h, :h] = np.sqrt(2.0) * M[h, :h]
+        Me[h, h] = M[h, h]
+    return [Me, A - B] if h else [Me]
+
+
+def _join(halves: list) -> np.ndarray:
+    """The centrosymmetric n x n matrix with the given `_split` halves."""
+    Me, Mo = halves[0], halves[1] if len(halves) > 1 else np.empty((0, 0))
+    h = Mo.shape[0]
+    n = Me.shape[0] + h
+    A, B = 0.5 * (Me[:h, :h] + Mo), 0.5 * (Me[:h, :h] - Mo)
+    M = np.empty((n, n))
+    M[:h, :h], M[:h, n - h:] = A, B[:, ::-1]
+    M[n - h:, :h], M[n - h:, n - h:] = B[::-1], A[::-1, ::-1]
+    if n % 2:
+        M[:h, h] = M[:n - h - 1:-1, h] = Me[:h, h] / np.sqrt(2.0)
+        M[h, :h] = M[h, :n - h - 1:-1] = Me[h, :h] / np.sqrt(2.0)
+        M[h, h] = Me[h, h]
+    return M
 
 
 def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSolution:
@@ -293,19 +346,33 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     blocks = [_ToeplitzBlock(ent.rows, ent.coeffs / row_scale[ent.rows], p)
               for ent in prob.block_entries]
 
-    X = [np.eye(n) for n in dims]
-    Z = [np.eye(n) for n in dims]
+    # every iterate is centrosymmetric (see the module docstring), so each
+    # block is carried as its `_split` halves: X, Z are flat lists of all
+    # blocks' halves, and block b's halves are X[spans[b]]
+    ends = np.cumsum([min(n, 2) for n in dims])
+    spans = [slice(e - min(n, 2), e) for e, n in zip(ends, dims)]
+
+    def split(full):
+        return [Mh for M in full for Mh in _split(M)]
+
+    def join(halves):
+        return [_join(halves[s]) for s in spans]
+
+    X = split([np.eye(n) for n in dims])
+    Z = [Xh.copy() for Xh in X]
     x = np.zeros(f)
     nu = np.zeros(p)
 
     def measures(X, Z, x, nu):
-        """Residuals, complementarity and relative measures of an iterate."""
+        """Residuals, complementarity and relative measures of an iterate;
+        r_c is returned as halves, its measure taken on the full blocks."""
         r_p = h - F @ x if f else h.copy()
-        for blk, Xb in zip(blocks, X):
+        for blk, Xb in zip(blocks, join(X)):
             r_p -= blk.apply(Xb)
         r_d = (F.T @ nu - Q @ x - q) if f else np.zeros(0)
-        r_c = [-blk.adjoint(nu) - Zb for blk, Zb in zip(blocks, Z)]
-        gap = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z))
+        Zf = join(Z)
+        r_c = [-blk.adjoint(nu) - Zb for blk, Zb in zip(blocks, Zf)]
+        gap = sum(float(np.tensordot(Xh, Zh)) for Xh, Zh in zip(X, Z))
         xQx = 0.5 * x @ Q @ x if f else 0.0
         pobj = xQx + q @ x if f else 0.0
         dobj = h @ nu - xQx
@@ -314,11 +381,11 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
                "rp": np.abs(r_p).max() / (1.0 + np.abs(h).max()),
                "rd": np.abs(r_d).max() / (1.0 + np.abs(q).max()) if f else 0.0,
                "rc": max(np.abs(rc).max() / (1.0 + np.abs(Zb).max())
-                         for rc, Zb in zip(r_c, Z))}
+                         for rc, Zb in zip(r_c, Zf))}
         rel["all"] = max(rel["rp"], rel["rd"], rel["rc"], abs(rel["gap"]))
         # the step safeguard's merit
         rel["merit"] = rel["gap"] + rel["rp"] + rel["rd"]
-        return r_p, r_d, r_c, gap, rel
+        return r_p, r_d, split(r_c), gap, rel
 
     log = []
     status = SdpStatus.MAX_ITER
@@ -338,7 +405,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
                     "rp": rel["rp"], "rd": rel["rd"], "rc": rel["rc"]})
         if rel["all"] < best_rel["all"]:
             best_rel = rel
-            best_point = ([Xb.copy() for Xb in X], [Zb.copy() for Zb in Z],
+            best_point = ([Xh.copy() for Xh in X], [Zh.copy() for Zh in Z],
                           x.copy(), nu.copy())
         if rel["all"] <= tol:
             status = SdpStatus.SOLVED
@@ -356,12 +423,16 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             status = SdpStatus.INFEASIBLE
             break
 
-        # NT scalings and Schur complement
-        scal = [_nt_scaling(Xb, Zb) for Xb, Zb in zip(X, Z)]
+        # NT scalings per half, Schur complement per full block
+        scal = [_nt_scaling(Xh, Zh) for Xh, Zh in zip(X, Z)]
         H = np.zeros((p, p))
-        for blk, (R, Rinv, W, sv) in zip(blocks, scal):
+        for blk, W in zip(blocks, join([sc[2] for sc in scal])):
             act, Hb = blk.schur(W)
             H[np.ix_(act, act)] += Hb
+        if not np.all(np.isfinite(H)):
+            # overflow on a diverging run; classify from the best iterate
+            log[-1]["stop"] = "non-finite Schur complement"
+            break
         H = 0.5 * (H + H.T)
         K0 = np.block([[H, F], [F.T, -Q]])
         lu = None
@@ -390,27 +461,26 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         def newton(sigma_mu, corr):
             """Direction for target sigma*mu, optional corrector matrices;
             None when roundoff made it non-finite."""
-            D = []
+            D = [sigma_mu * Zi - Xh - wrw for Zi, Xh, wrw in zip(Zinv, X, WrW)]
+            if corr is not None:
+                D = [Dh - ch for Dh, ch in zip(D, corr)]
             g1 = r_p.copy()
-            for b, blk in enumerate(blocks):
-                Db = sigma_mu * Zinv[b] - X[b] - WrW[b]
-                if corr is not None:
-                    Db -= corr[b]
-                D.append(Db)
+            for blk, Db in zip(blocks, join(D)):
                 g1 -= blk.apply(Db)
             rhs = np.concatenate([g1, -r_d]) if f else g1
             sol = _kkt_solve(lu, K0, rhs)
             if not np.all(np.isfinite(sol)):
                 return None
             dnu, dx = sol[:p], sol[p:]
-            dZ = [rc - blk.adjoint(dnu) for rc, blk in zip(r_c, blocks)]
+            Adnu = split([blk.adjoint(dnu) for blk in blocks])
+            dZ = [rc - a for rc, a in zip(r_c, Adnu)]
             dX = []
-            for b, (blk, (R, Rinv, W, sv)) in enumerate(zip(blocks, scal)):
-                M = D[b] + W @ blk.adjoint(dnu) @ W
+            for Dh, a, (R, Rinv, W, sv) in zip(D, Adnu, scal):
+                M = Dh + W @ a @ W
                 dX.append(0.5 * (M + M.T))
             # the direction in the NT-scaled space, where step lengths are taken
-            dXt = [Rinv @ dxb @ Rinv.T for (R, Rinv, W, sv), dxb in zip(scal, dX)]
-            dZt = [R.T @ dzb @ R for (R, Rinv, W, sv), dzb in zip(scal, dZ)]
+            dXt = [Rinv @ dxh @ Rinv.T for (R, Rinv, W, sv), dxh in zip(scal, dX)]
+            dZt = [R.T @ dzh @ R for (R, Rinv, W, sv), dzh in zip(scal, dZ)]
             ap = min(_max_step(sc[3], Dt) for sc, Dt in zip(scal, dXt))
             ad = min(_max_step(sc[3], Dt) for sc, Dt in zip(scal, dZt))
             return dX, dZ, dx, dnu, dXt, dZt, ap, ad
@@ -422,8 +492,8 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             break
         dXa, dZa, _, _, dXt, dZt, ap, ad = step
         ap, ad = min(1.0, ap), min(1.0, ad)
-        gap_aff = sum(float(np.tensordot(Xb + ap * dxb, Zb + ad * dzb))
-                      for Xb, dxb, Zb, dzb in zip(X, dXa, Z, dZa))
+        gap_aff = sum(float(np.tensordot(Xh + ap * dxh, Zh + ad * dzh))
+                      for Xh, dxh, Zh, dzh in zip(X, dXa, Z, dZa))
         sigma = min(0.999, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
 
         # corrector with second-order term in the scaled space
@@ -440,8 +510,8 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         ap, ad = min(1.0, gamma * ap), min(1.0, gamma * ad)
 
         for _ in range(4):
-            Xn = [Xb + ap * dxb for Xb, dxb in zip(X, dX)]
-            Zn = [Zb + ad * dzb for Zb, dzb in zip(Z, dZ)]
+            Xn = [Xh + ap * dxh for Xh, dxh in zip(X, dX)]
+            Zn = [Zh + ad * dzh for Zh, dzh in zip(Z, dZ)]
             xn = x + ap * dx
             nun = nu + ad * dnu
             meas = measures(Xn, Zn, xn, nun)
@@ -466,14 +536,16 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     if status == SdpStatus.MAX_ITER and rel["rp"] > 100.0 * tol:
         status = SdpStatus.INFEASIBLE
 
-    # undo the scaling and clip roundoff negatives in the returned blocks
-    out_blocks = []
-    for Xb in X:
-        M = s_var * 0.5 * (Xb + Xb.T)
+    # undo the scaling and clip roundoff negatives, per half so that the
+    # returned blocks stay exactly centrosymmetric
+    out_halves = []
+    for Xh in X:
+        M = s_var * 0.5 * (Xh + Xh.T)
         w, V = np.linalg.eigh(M)
         if w[0] < 0.0:
             M = (V * np.maximum(w, 0.0)) @ V.T
-        out_blocks.append(M)
+        out_halves.append(M)
+    out_blocks = join(out_halves)
     x_out = s_var * x
     obj = 0.5 * x_out @ prob.quad @ x_out + prob.lin @ x_out
     return SdpSolution(out_blocks, x_out, float(obj), float(final_gap), it,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebspike import sdp
@@ -230,6 +230,26 @@ class TestNumericalFloor:
         assert sol.iteration_log[-1]["stop"] == "non-finite direction"
         assert all("stop" not in row for row in sol.iteration_log[:-1])
 
+    def test_non_finite_schur_complement_ends_with_status(self, monkeypatch):
+        # poison the Schur complement from the fifth iteration on, as
+        # overflow does on a diverging infeasible trajectory
+        real = sdp._ToeplitzBlock.schur
+        calls = []
+
+        def poisoned(self, W):
+            calls.append(None)
+            act, H = real(self, W)
+            return act, (H if len(calls) < 5 else np.full_like(H, np.inf))
+
+        monkeypatch.setattr(sdp._ToeplitzBlock, "schur", poisoned)
+        sol = sdp.solve(trig_cone_problem(0.45), tol=1e-9)
+        assert sol.iterations == 5
+        assert sol.iteration_log[-1]["stop"] == "non-finite Schur complement"
+        assert all("stop" not in row for row in sol.iteration_log[:-1])
+        # the best iterate is the last one: feasible, its gap above tol
+        assert sol.status == sdp.SdpStatus.MAX_ITER
+        assert sol.gap == sol.iteration_log[-1]["gap"] > 1e-9
+
     def test_mu_floor_marks_the_last_row(self):
         # a tolerance below roundoff: the solve ends at the numerical floor
         sol = sdp.solve(trig_cone_problem(0.45), tol=1e-20)
@@ -330,3 +350,95 @@ class TestMaxStep:
         np.linalg.cholesky(X + 0.99 * alpha * D)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(X + 1.01 * alpha * D)
+
+
+def centrosymmetric(rng, n):
+    """A random symmetric M with J M J = M, J the exchange matrix."""
+    S = rng.standard_normal((n, n))
+    S = S + S.T
+    return S + S[::-1, ::-1]
+
+
+def centrosymmetric_pair(rng, n, spectrum):
+    """Full X, Z joined from central pairs of the half sizes."""
+    pairs = [central_pair(rng, k, spectrum) for k in (n - n // 2, n // 2) if k]
+    return (sdp._join([X for X, Z in pairs]), sdp._join([Z for X, Z in pairs]),
+            pairs)
+
+
+class TestCentrosymmetricHalves:
+    """The even/odd reduction is exact: the halves hold the whole matrix,
+    its spectrum, and the NT scaling and step lengths of the full block."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, seed=0)
+    @example(n=2, seed=0)
+    def test_split_join_round_trip(self, n, seed):
+        M = centrosymmetric(np.random.default_rng(seed), n)
+        halves = sdp._split(M)
+        sizes = [k for k in (n - n // 2, n // 2) if k]
+        assert [Mh.shape for Mh in halves] == [(k, k) for k in sizes]
+        J = sdp._join(halves)
+        np.testing.assert_array_equal(J, J[::-1, ::-1])
+        assert max_rel(J, M) <= 1e-15
+        for a, b in zip(sdp._split(J), halves):
+            assert max_rel(a, b) <= 1e-15
+        w = np.sort(np.concatenate([np.linalg.eigvalsh(Mh) for Mh in halves]))
+        assert max_rel(w, np.linalg.eigvalsh(M)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 33, 129, 130])
+    def test_adjoint_is_centrosymmetric(self, n):
+        rng = np.random.default_rng(n)
+        p = 2 * n + 1
+        blk = sdp._ToeplitzBlock(rng.permutation(p)[:n], rng.uniform(0.2, 5.0, n), p)
+        A = blk.adjoint(rng.standard_normal(p))
+        np.testing.assert_array_equal(A, A[::-1, ::-1])
+
+    @pytest.mark.parametrize("n", [2, 3, 33, 129])
+    @pytest.mark.parametrize("spectrum,bound", [("random", 1e-12), ("ill", 1e-8)])
+    def test_nt_scaling_of_halves(self, n, spectrum, bound):
+        # at the ill spectrum both paths are off the 60-digit W by about
+        # 1e-9, so that is the agreement roundoff allows
+        X, Z, pairs = centrosymmetric_pair(np.random.default_rng(n), n, spectrum)
+        W = sdp._nt_scaling(X, Z)[2]
+        Wh = sdp._join([sdp._nt_scaling(Xh, Zh)[2] for Xh, Zh in pairs])
+        assert max_rel(Wh, W) <= bound
+
+    @pytest.mark.parametrize("n", [2, 3, 33, 129])
+    @pytest.mark.parametrize("spectrum,bound", [("random", 1e-12), ("ill", 1e-6)])
+    def test_max_step_is_the_minimum_over_halves(self, n, spectrum, bound):
+        rng = np.random.default_rng(n + 2)
+        X, Z, pairs = centrosymmetric_pair(rng, n, spectrum)
+        R, Rinv, W, sv = sdp._nt_scaling(X, Z)
+        scal = [sdp._nt_scaling(Xh, Zh) for Xh, Zh in pairs]
+        for _ in range(3):
+            D = centrosymmetric(rng, n)
+            D *= rng.uniform(0.5, 2.0) * np.abs(np.linalg.eigvalsh(X)).max() \
+                / np.linalg.norm(D, 2)
+            want = sdp._max_step(sv, Rinv @ D @ Rinv.T)
+            got = min(sdp._max_step(svh, Rinvh @ Dh @ Rinvh.T)
+                      for (Rh, Rinvh, Wh, svh), Dh in zip(scal, sdp._split(D)))
+            assert abs(got - want) <= bound * want
+            want = sdp._max_step(sv, R.T @ D @ R)
+            got = min(sdp._max_step(svh, Rh.T @ Dh @ Rh)
+                      for (Rh, Rinvh, Wh, svh), Dh in zip(scal, sdp._split(D)))
+            assert abs(got - want) <= bound * want
+
+    def test_non_finite_step_direction_raises(self):
+        with pytest.raises(sdp.SdpError):
+            sdp._max_step(np.ones(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_solve_returns_centrosymmetric_blocks(self):
+        from chebspike.blasso import assemble_dual_sdp
+        from chebspike.measures import DiscreteMeasure
+        from chebspike.observation import simulate
+
+        obs = simulate(DiscreteMeasure([-0.4, 0.5], [1.0, -0.7]), 10, -1, 0.02,
+                       seed=2)
+        for prob in (assemble_dual_sdp(obs, 0.05), trig_cone_problem(0.45),
+                     pinned_psd_scalar()):
+            sol = sdp.solve(prob, tol=1e-9)
+            assert sol.status == sdp.SdpStatus.SOLVED
+            for X in sol.psd_blocks:
+                np.testing.assert_array_equal(X, X[::-1, ::-1])
