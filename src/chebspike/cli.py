@@ -199,6 +199,11 @@ def _blasso_opts(cfg: dict, interior_support: bool = False) -> BlassoOptions:
 
 
 def run_recover_spline(cfg: dict) -> dict:
+    profile_points = cfg.get("profile_points", 1024)
+    # exactly int: a JSON true would pass isinstance(profile_points, int)
+    if type(profile_points) is not int or profile_points < 2:
+        raise ConfigError(f"profile_points must be an integer >= 2, "
+                          f"got {profile_points!r}")
     out = _out_dir(cfg)
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
@@ -233,10 +238,10 @@ def run_recover_spline(cfg: dict) -> dict:
     resid = boundary_residual(f_hat, b)
     report = spline_jump_report(f_hat, f, lam, m)
 
-    grid = np.linspace(-1.0, 1.0, int(cfg.get("profile_points", 1024)))
+    grid = np.linspace(-1.0, 1.0, profile_points)
     p_approx = polynomial_from_theta(theta, m, d)
-    prof = [(float(t), float(f(t)), float(f_hat(t)), float(p_approx(t)))
-            for t in grid]
+    prof = zip(grid.tolist(), f(grid).tolist(), f_hat(grid).tolist(),
+               p_approx(grid).tolist())
     write_csv(out / "profile.csv", "profile", prof)
     x_true = distributional_derivative(f)
     rows = [("true", float(t), float(w))

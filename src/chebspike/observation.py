@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
+from numpy.polynomial import legendre as nplegendre
 
 from .chebyshev import ChebPoly
 from .measures import DiscreteMeasure, moments
@@ -87,32 +88,30 @@ def theta_of_polynomial(p: ChebPoly, m: int, d: int) -> np.ndarray:
     return out
 
 
-def _dual_family_gram(m: int, d: int) -> np.ndarray:
-    """Gram matrix of the (d+1)-th derivatives of phi_{d+1}..phi_m under the
-    Lebesgue pairing (exact)."""
-    fam = [_phi_deriv_cheb(k, d + 1) for k in range(d + 1, m + 1)]
-    n = len(fam)
-    G = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            anti = npcheb.chebint(npcheb.chebmul(fam[i], fam[j]))
-            G[i, j] = G[j, i] = npcheb.chebval(1.0, anti) - npcheb.chebval(-1.0, anti)
-    return G
-
-
 def polynomial_from_theta(theta: np.ndarray, m: int, d: int) -> ChebPoly:
     """The unique polynomial of degree <= m-d-1 whose inner products with the
-    derivative family equal theta (inverse of `theta_of_polynomial`)."""
+    derivative family equal theta (inverse of `theta_of_polynomial`).
+
+    The family fam_j, the (d+1)-th derivatives of phi_{d+1}..phi_m, has
+    degrees 0..n-1 with n = m-d, so every product p * fam_j has degree at
+    most 2n-2 and the n-point Gauss-Legendre rule (nodes x, weights w;
+    Golub & Welsch, Math. Comp. 1969) integrates it exactly:
+    theta = V^T (w * p(x)) with V_ij = fam_j(x_i).  Two square solves give
+    p(x) = solve(V^T, theta) / w and then its T coefficients,
+    solve(chebvander(x, n-1), p(x)).  Working with V instead of the Gram
+    matrix V^T diag(w) V needs only the square root of its condition number.
+    """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (m - d,):
-        raise ValueError(f"theta must have length m-d = {m - d}")
-    G = _dual_family_gram(m, d)
-    coeffs = np.linalg.solve(G, theta)
-    tc = np.zeros(max(m - d, 1))
+    n = m - d
+    if theta.shape != (n,):
+        raise ValueError(f"theta must have length m-d = {n}")
+    x, w = nplegendre.leggauss(n)
+    fam = np.zeros((n, n))
     for j, k in enumerate(range(d + 1, m + 1)):
-        dphi = _phi_deriv_cheb(k, d + 1)
-        tc[:dphi.size] += coeffs[j] * dphi
-    return ChebPoly.from_chebyshev_t(tc)
+        fam[:j + 1, j] = _phi_deriv_cheb(k, d + 1)
+    px = np.linalg.solve(npcheb.chebval(x, fam), theta) / w
+    return ChebPoly.from_chebyshev_t(
+        np.linalg.solve(npcheb.chebvander(x, n - 1), px))
 
 
 def lambda_rice(sigma: float, m: int, d: int, eta: float) -> float:

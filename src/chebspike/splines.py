@@ -141,29 +141,23 @@ def _phi_deriv_cheb(k: int, order: int) -> np.ndarray:
     return npcheb.chebder(c, order) if order else c
 
 
-def _piece_integral(piece_monomial: np.ndarray, other_cheb: np.ndarray,
-                    a: float, b: float) -> float:
-    """Exact integral over [a, b] of (piece polynomial) * (Chebyshev-series
-    polynomial), via Chebyshev-basis multiplication and antidifferentiation."""
-    pc = npcheb.poly2cheb(piece_monomial)
-    prod = npcheb.chebmul(pc, other_cheb)
-    anti = npcheb.chebint(prod)
-    return float(npcheb.chebval(b, anti) - npcheb.chebval(a, anti))
-
-
 def projection_vector(f: NonUniformSpline, m: int) -> np.ndarray:
     """Lebesgue inner products of f against the (d+1)-th derivatives of
-    phi_k for k = d+1..m, computed exactly piecewise."""
+    phi_k for k = d+1..m, computed exactly piecewise: each piece times the
+    derivative is multiplied and antidifferentiated in the T basis."""
     d = f.degree
     if m <= d:
         raise ValueError("need m > degree")
     edges = np.concatenate([[-1.0], f.knots, [1.0]])
+    pieces = [npcheb.poly2cheb(piece) for piece in f.pieces]
     out = np.zeros(m - d)
     for j, k in enumerate(range(d + 1, m + 1)):
         dphi = _phi_deriv_cheb(k, d + 1)
         acc = 0.0
-        for i in range(f.pieces.shape[0]):
-            acc += _piece_integral(f.pieces[i], dphi, edges[i], edges[i + 1])
+        for i, pc in enumerate(pieces):
+            anti = npcheb.chebint(npcheb.chebmul(pc, dphi))
+            acc += float(npcheb.chebval(edges[i + 1], anti)
+                         - npcheb.chebval(edges[i], anti))
         out[j] = acc
     return out
 

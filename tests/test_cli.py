@@ -90,6 +90,16 @@ class TestConfigErrors:
         code = cli.main(["sweep", "--config", write_cfg(tmp_path, "c.json", cfg)])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("points", [-3, 1, 2.5, True, "1024"])
+    def test_bad_profile_points(self, tmp_path, points):
+        out = tmp_path / "out"
+        cfg = {"m": 8, "out_dir": str(out), "profile_points": points,
+               "target": {"spline": spline_to_dict(demo_spline())}}
+        code = cli.main(["recover-spline", "--config",
+                         write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestRiceCheck:
     def test_summary_and_determinism(self, tmp_path):
@@ -236,6 +246,22 @@ class TestRecoverSpline:
         lines = (out / "profile.csv").read_text().splitlines()
         assert lines[0] == ",".join(cli.CSV_SCHEMAS["profile"][1])
         assert len(lines) == 1 + 1024
+
+    def test_profile_columns_are_scalar_evaluations(self, tmp_path):
+        out = tmp_path / "out"
+        f = demo_spline()
+        cfg = {"m": 10, "sigma0": 0.0005, "seed": 3, "out_dir": str(out),
+               "profile_points": 301, "target": {"spline": spline_to_dict(f)}}
+        assert cli.main(["recover-spline", "--config",
+                         write_cfg(tmp_path, "c.json", cfg)]) == cli.EXIT_OK
+        f_hat = spline_from_dict(
+            json.loads((out / "spline_hat.json").read_text()))
+        rows = [[float(v) for v in line.split(",")] for line in
+                (out / "profile.csv").read_text().splitlines()[1:]]
+        t, f_true, f_hat_col, _ = map(list, zip(*rows))
+        assert t == np.linspace(-1.0, 1.0, 301).tolist()
+        assert f_true == [f(v) for v in t]
+        assert f_hat_col == [f_hat(v) for v in t]
 
 
 class TestCertificateMode:

@@ -121,6 +121,39 @@ class TestThetaOfPolynomial:
                                    atol=1e-9)
 
 
+class TestPolynomialFromTheta:
+    GRID = np.linspace(-1.0, 1.0, 1024)
+
+    # sup error of p -> theta_of_polynomial -> polynomial_from_theta on the
+    # grid, relative to sup |p|, worst over seeds 0..5: about 10x the
+    # measured 5.1e-15, 1.1e-14, 5.8e-14, 5.6e-13 and, at m = 64, 6x the
+    # measured 4.2e-11, so that a solve of the Gram (normal) equations,
+    # which loses 2.9e-10 to 4.8e-10 per seed there, fails.
+    @pytest.mark.parametrize("m, d, bound", [
+        (11, 2, 5e-14), (16, 1, 1e-13), (32, 0, 5e-13), (32, 2, 5e-12),
+        (64, 2, 2.5e-10)])
+    def test_roundtrip_on_grid(self, m, d, bound):
+        worst = 0.0
+        for seed in range(6):
+            p = ChebPoly(np.random.default_rng(seed).standard_normal(m - d))
+            q = polynomial_from_theta(theta_of_polynomial(p, m, d), m, d)
+            assert q.coeffs.shape == (m - d,)
+            ref = p(self.GRID)
+            worst = max(worst,
+                        np.abs(q(self.GRID) - ref).max() / np.abs(ref).max())
+        assert worst <= bound
+
+    @pytest.mark.parametrize("m, d", [(1, 0), (3, 2)])
+    def test_single_coefficient(self, m, d):
+        p = ChebPoly([-1.75])
+        q = polynomial_from_theta(theta_of_polynomial(p, m, d), m, d)
+        np.testing.assert_allclose(q.coeffs, p.coeffs, rtol=1e-15)
+
+    def test_wrong_length_theta(self):
+        with pytest.raises(ValueError):
+            polynomial_from_theta(np.ones(8), 10, 1)
+
+
 class TestLambdaFormulas:
     def test_rice_value(self):
         assert lambda_rice(0.01, 128, 1, 1.0) == pytest.approx(1.1472, abs=1e-4)

@@ -33,6 +33,17 @@ class TestConstruction:
         f = NonUniformSpline(0, [0.0], [[0.0], [1.0]])
         np.testing.assert_array_equal(f(np.array([-0.5, 0.5])), [0.0, 1.0])
 
+    def test_array_evaluation_equals_scalar_calls(self):
+        # the CLI's profile evaluates on arrays; each value must be the
+        # scalar call's bit for bit, knots and endpoints included
+        rng = np.random.default_rng(7)
+        for degree in (0, 1, 2, 3):
+            f = random_spline(rng, degree, 3, jump_scale=1e4)
+            t = np.sort(np.concatenate([np.linspace(-1.0, 1.0, 257), f.knots]))
+            for deriv in (0, 1):
+                scalar = [f.value(float(v), deriv) for v in t]
+                assert f.value(t, deriv).tolist() == scalar
+
 
 class TestDistributionalDerivative:
     def test_step_function(self):
