@@ -17,6 +17,12 @@ Lagrangian (the joint amplitude-position update of the sliding Frank-Wolfe
 step), and a last weight fit at the refined positions.  First-order
 optimality is verified a posteriori.
 
+When the dual polynomial is the constant +-lam the level set is the whole
+interval and the optimal measure need not be unique: any one-sign measure
+whose moments equal c* = y + (0, alpha_hi) is optimal.  One nonnegative
+least-squares solve on a fixed grid picks such a measure with at most m+1
+atoms (`_degenerate_solution`).
+
 Sign convention: at the optimum the dual polynomial equals -lam times the
 weight sign at every atom, so the subgradient polynomial appearing in the
 optimality identities is the negative of the dual polynomial.
@@ -24,7 +30,6 @@ optimality identities is the negative of the dual polynomial.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +39,14 @@ from .chebyshev import (ChebPoly, ConstantDualError, cheb_grid, eval_poly,
 from .measures import DiscreteMeasure, moments, phi_matrix, tv_norm
 from .observation import Observation
 from . import sdp
+
+
+# a level-set point must reach (1 - LEVEL_TOL) * lam, and its dual value at
+# least SIGN_THRESHOLD * lam, to seed an atom
+LEVEL_TOL = 1e-4
+SIGN_THRESHOLD = 0.9
+# grid of the constant-dual path's nonnegative least-squares fit
+DEGENERATE_GRID = 512
 
 
 class BlassoError(Exception):
@@ -63,7 +76,6 @@ class PrimalSolution:
     sdp_gap: float
     sdp_iterations: int
     sdp_log: list                 # the IPM's iteration log (`SdpSolution`)
-    solve_seconds: float
 
     def primal_objective(self) -> float:
         resid = moments(self.measure, self.observation.m) - self.observation.y
@@ -75,14 +87,12 @@ class PrimalSolution:
 class BlassoOptions:
     sdp_tol: float = 1e-9
     sdp_max_iter: int = 200
-    level_tol: float = 1e-4
-    sign_threshold: float = 0.9
     amplitude_floor: float | None = None     # default max(1e-8, 1e-6 * lam)
-    degenerate_grid: int = 512
     # keep the support strictly inside (-1, 1): atoms the dual places at an
-    # endpoint are moved to arccos distance 0.5/m from the edge and refitted,
-    # so the measure stays a valid spline derivative and the exact-moment
-    # constraints (hence both boundary conditions) hold exactly
+    # endpoint are moved to arccos distance 0.5/m from the edge and refitted
+    # (the constant-dual grid stops at that distance), so the measure stays
+    # a valid spline derivative and the exact-moment constraints (hence both
+    # boundary conditions) hold exactly
     interior_support: bool = False
 
 
@@ -199,18 +209,16 @@ def _fit_above_floor(support, obs: Observation, lam: float, signs,
                      floor: float):
     """Sign-consistent weight fit, refitted without the atoms whose weight
     falls below the amplitude floor until none does.  Returns (support,
-    weights, multipliers, signs) of the last fit; the support is empty, and
-    the multipliers zero, when no atom survives."""
+    weights, multipliers, signs) of the last fit; the support is empty when
+    no atom survives."""
     t = np.atleast_1d(np.asarray(support, dtype=float))
     s = np.atleast_1d(np.asarray(signs, dtype=float))
     while True:
         a, mult, keep = fit_weights(t, obs, lam, s)
         t, a, s = t[keep], a[keep], s[keep]
         big = np.abs(a) >= floor
-        if big.all():
-            return t, a, mult, s
-        if not big.any():
-            return t[big], a[big], np.zeros_like(mult), s[big]
+        if big.all() or not big.any():
+            return t[big], a[big], mult, s[big]
         t, s = t[big], s[big]
 
 
@@ -259,12 +267,11 @@ def _refine_support(support, obs: Observation, lam: float, signs,
     their position.  The stage starts and ends with the sign-consistent
     weight fit above the amplitude floor, so the exact moments hold to fit
     accuracy and no atom is dropped after the last fit.  Returns (support,
-    weights, multipliers); the support is empty, and the multipliers zero,
-    when a fit keeps no atom.
+    weights); both are empty when a fit keeps no atom.
     """
     t, a, nu, s = _fit_above_floor(support, obs, lam, signs, floor)
     if t.size == 0:
-        return t, a, nu
+        return t, a
     max_move = 0.25 / max(obs.m, 1)
     # strictly inside [-1, 1], where the position derivatives are finite
     lim = np.cos(theta_cap) * (1.0 - 1e-12)
@@ -297,8 +304,8 @@ def _refine_support(support, obs: Observation, lam: float, signs,
         # would be at the roundoff floor
         if np.abs(dt).max() <= 1e-9:
             break
-    t, a, nu, _ = _fit_above_floor(t, obs, lam, s, floor)
-    return t, a, nu
+    t, a, _, _ = _fit_above_floor(t, obs, lam, s, floor)
+    return t, a
 
 
 def _anchored_multipliers(measure: DiscreteMeasure, obs: Observation,
@@ -357,60 +364,27 @@ def verify_first_order(sol: PrimalSolution, lam: float | None = None) -> dict:
             "equality_gap": eq_gap}
 
 
-def _nonneg_lasso(B: np.ndarray, y: np.ndarray, lam: float,
-                  max_sweeps: int = 2000, tol: float = 1e-12) -> np.ndarray:
-    """Coordinate descent for min 0.5||B u - y||^2 + lam * sum(u), u >= 0."""
-    n = B.shape[1]
-    u = np.zeros(n)
-    col_sq = (B * B).sum(axis=0)
-    r = y.copy()
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for j in range(n):
-            if col_sq[j] == 0.0:
-                continue
-            uj = u[j]
-            grad = B[:, j] @ r + col_sq[j] * uj
-            new = max(0.0, (grad - lam) / col_sq[j])
-            if new != uj:
-                r += B[:, j] * (uj - new)
-                delta = max(delta, abs(new - uj))
-                u[j] = new
-        if delta < tol * (1.0 + np.abs(u).max(initial=0.0)):
-            break
-    return u
-
-
-def _degenerate_solution(obs: Observation, lam: float, sign: float,
-                         opts: BlassoOptions) -> DiscreteMeasure:
-    """Constant-dual fallback: all weights share one sign, so fit a
-    sign-constrained least squares on a fixed grid.  Exact low-order moment
-    rows are enforced through a heavy quadratic penalty.  The grid solution
-    is then condensed to a basic feasible measure with the same moments
-    (at most m+2 atoms) by a small linear program."""
+def _degenerate_solution(obs: Observation, alpha: np.ndarray, sign: float,
+                         floor: float, theta_cap: float) -> DiscreteMeasure:
+    """Constant-dual path.  Every point is on the level set, and every
+    measure of the given sign whose moments equal the optimal vector
+    c* = y + (0, alpha_hi) is a minimizer.  One nonnegative least-squares
+    solve (Lawson & Hanson 1974) on a fixed grid, within the interior cap,
+    picks one with at most m+1 atoms; the exact low-order rows are weighted
+    1e4.  Atoms at or below the amplitude floor are dropped."""
     import scipy.optimize
 
     m, d = obs.m, obs.d
-    grid = cheb_grid(opts.degenerate_grid)
-    Phi = phi_matrix(grid, m)
+    grid = cheb_grid(DEGENERATE_GRID)
+    grid = grid[np.abs(grid) <= np.cos(theta_cap)]
+    c_star = obs.y.copy()
+    c_star[d + 1:] += alpha[d + 1:]
     row_weight = np.ones(m + 1)
     row_weight[:d + 1] = 1e4
-    B = sign * (Phi * row_weight[:, None])
-    yw = obs.y * row_weight
-    u = _nonneg_lasso(B, yw, lam)
-    floor = opts.amplitude_floor
-    floor = max(1e-8, 1e-6 * lam) if floor is None else floor
+    u, _ = scipy.optimize.nnls(phi_matrix(grid, m) * row_weight[:, None],
+                               sign * c_star * row_weight)
     keep = u > floor
-    pts, w = grid[keep], u[keep]
-    if pts.size > m + 2:
-        c_hat = phi_matrix(pts, m) @ w
-        res = scipy.optimize.linprog(
-            np.ones(pts.size), A_eq=phi_matrix(pts, m), b_eq=c_hat,
-            bounds=(0, None), method="highs")
-        if res.status == 0:
-            cond = res.x > floor
-            pts, w = pts[cond], res.x[cond]
-    return DiscreteMeasure(pts, sign * w)
+    return DiscreteMeasure(grid[keep], sign * u[keep])
 
 
 def solve_blasso(obs: Observation, lam: float,
@@ -421,10 +395,11 @@ def solve_blasso(obs: Observation, lam: float,
     the level set of the dual polynomial, refine weights and positions in
     one stage (`_refine_support`) with the exact low-order moments as
     constraints and atoms below the amplitude floor pruned, and package
-    optimality diagnostics.
+    optimality diagnostics.  A constant dual polynomial takes the
+    constant-dual path (`_degenerate_solution`) in place of the level-set
+    read-out and the refinement.
     """
     opts = opts or BlassoOptions()
-    t0 = time.perf_counter()
     prob = assemble_dual_sdp(obs, lam)
     ssol = sdp.solve(prob, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter)
     # a near miss against the numerical floor: the solve returns its best
@@ -441,28 +416,30 @@ def solve_blasso(obs: Observation, lam: float,
 
     floor = opts.amplitude_floor
     floor = max(1e-8, 1e-6 * lam) if floor is None else floor
+    theta_cap = 0.5 / max(obs.m, 1) if opts.interior_support else 0.0
 
     degenerate = False
     multipliers = np.zeros(d + 1)
     try:
-        support = unit_level_roots(dual_poly, lam, opts.level_tol)
+        support = unit_level_roots(dual_poly, lam, LEVEL_TOL)
     except ConstantDualError:
         degenerate = True
         sign = -float(np.sign(eval_poly(dual_poly, 0.0)))
         sign = sign if sign else 1.0
-        measure = _degenerate_solution(obs, lam, sign, opts)
+        measure = _degenerate_solution(obs, alpha, sign, floor, theta_cap)
+        # the subgradient polynomial is then -dual_poly itself
+        multipliers = alpha[:d + 1]
     else:
         if support.size == 0:
             measure = DiscreteMeasure.empty()
         else:
             vals = eval_poly(dual_poly, support)
-            ok = np.abs(vals) >= opts.sign_threshold * lam
+            ok = np.abs(vals) >= SIGN_THRESHOLD * lam
             support, vals = support[ok], np.atleast_1d(vals)[ok]
             if support.size == 0:
                 measure = DiscreteMeasure.empty()
             else:
                 signs = -np.sign(vals)
-                theta_cap = 0.5 / max(obs.m, 1) if opts.interior_support else 0.0
                 if theta_cap > 0:
                     # clipping can bring an endpoint atom within the
                     # locator's merge radius of its interior neighbour
@@ -470,18 +447,17 @@ def solve_blasso(obs: Observation, lam: float,
                     support = np.clip(support, -t_cap, t_cap)
                     keep = merge_close(support, np.abs(vals), theta_cap)
                     support, signs = support[keep], signs[keep]
-                support, weights, multipliers = _refine_support(
+                support, weights = _refine_support(
                     support, obs, lam, signs, floor, theta_cap)
                 measure = DiscreteMeasure(support, weights)
 
     if d >= 0 and not degenerate and not measure.is_empty:
         multipliers = _anchored_multipliers(measure, obs, lam, alpha[:d + 1])
-    elapsed = time.perf_counter() - t0
     sol = PrimalSolution(
         measure=measure, dual=dual, kkt_residuals={}, degenerate=degenerate,
         observation=obs, lam=lam, multipliers=multipliers,
         duality_gap_rel=0.0, sdp_gap=ssol.gap, sdp_iterations=ssol.iterations,
-        sdp_log=ssol.iteration_log, solve_seconds=elapsed)
+        sdp_log=ssol.iteration_log)
     kkt = verify_first_order(sol)
     pobj = sol.primal_objective()
     gap_rel = abs(pobj + dual_obj) / (1.0 + abs(pobj))
@@ -490,9 +466,9 @@ def solve_blasso(obs: Observation, lam: float,
     return sol
 
 
-def solution_to_dict(sol: PrimalSolution, include_timing: bool = True) -> dict:
+def solution_to_dict(sol: PrimalSolution) -> dict:
     from .measures import measure_to_dict
-    out = {
+    return {
         "measure": measure_to_dict(sol.measure),
         "alpha": sol.dual.alpha.tolist(),
         "dual_objective": sol.dual.objective,
@@ -503,6 +479,3 @@ def solution_to_dict(sol: PrimalSolution, include_timing: bool = True) -> dict:
         "sdp_gap": sol.sdp_gap,
         "sdp_iterations": sol.sdp_iterations,
     }
-    if include_timing:
-        out["solve_seconds"] = sol.solve_seconds
-    return out

@@ -100,13 +100,6 @@ def cheb_grid(n: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(n - 1, -1, -1) / (n - 1))
 
 
-def arccos_uniform_grid(n: int) -> np.ndarray:
-    """n points whose arccos images are equispaced on [0, pi], ascending."""
-    if n < 2:
-        raise ValueError("grid needs at least 2 points")
-    return np.cos(np.linspace(np.pi, 0.0, n))
-
-
 def endpoint_weight(k: int, l: int) -> float:
     """l-th derivative of T_k at the right endpoint.
 

@@ -20,7 +20,7 @@ import numpy as np
 from .blasso import BlassoError, BlassoOptions, solve_blasso, solution_to_dict
 from .certificates import (QIC, SIGN_INTERPOLANT, build_certificate,
                            verify_certificate)
-from .chebyshev import arccos_uniform_grid
+from .chebyshev import cheb_grid
 from .diagnostics import recovery_report, spline_jump_report
 from .measures import (DiscreteMeasure, measure_from_dict, measure_to_dict,
                        phi_matrix, separation_ok)
@@ -82,6 +82,26 @@ def _require(cfg: dict, key: str, kind=None):
     return val
 
 
+def _int_field(cfg: dict, key: str, default: int | None = None,
+               minimum: int | None = None) -> int:
+    """Config field `key` as an exact integer of at least `minimum`:
+    integral floats are accepted, bools and fractional values are not.  A
+    missing field is an error when `default` is None."""
+    if key not in cfg:
+        if default is None:
+            raise ConfigError(f"missing config field '{key}'")
+        return default
+    val = cfg[key]
+    if isinstance(val, float) and val.is_integer():
+        val = int(val)
+    # exactly int: a JSON true would pass isinstance(val, int)
+    if type(val) is not int or (minimum is not None and val < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"config field '{key}' must be an integer{bound}, "
+                          f"got {cfg[key]!r}")
+    return val
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg.get("out_dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -113,7 +133,7 @@ def _measure_from_target(cfg: dict, m: int, rng) -> DiscreteMeasure:
         return measure_from_dict(json.loads(path.read_text()))
     if "random_measure" in target:
         spec_ = target["random_measure"]
-        n = int(spec_.get("n_spikes", 3))
+        n = _int_field(spec_, "n_spikes", 3, minimum=0)
         amin = float(spec_.get("min_amplitude", 0.5))
         amax = float(spec_.get("max_amplitude", 2.0))
         support = random_separated_support(rng, n, m)
@@ -133,9 +153,9 @@ def _spline_from_target(cfg: dict, rng) -> NonUniformSpline:
         return spline_from_dict(json.loads(path.read_text()))
     if "random_spline" in target:
         spec_ = target["random_spline"]
-        d = int(_require(cfg, "d"))
-        m = int(_require(cfg, "m"))
-        n_knots = int(spec_.get("n_knots", 2))
+        d = _int_field(cfg, "d", minimum=0)
+        m = _int_field(cfg, "m", minimum=1)
+        n_knots = _int_field(spec_, "n_knots", 2, minimum=0)
         jump_scale = float(spec_.get("jump_scale", 1.0))
         knots = random_separated_support(rng, n_knots, m)
         jumps = jump_scale * rng.uniform(0.8, 1.25, n_knots) \
@@ -152,9 +172,11 @@ def run_recover_spikes(cfg: dict) -> dict:
     if "sigma0" in cfg:
         raise ConfigError("recover-spikes takes the moment noise level "
                           "'sigma'; 'sigma0' applies to recover-spline only")
+    opts = _blasso_opts(cfg)
+    d = _int_field(cfg, "d", -1, minimum=-1)
+    m = _int_field(cfg, "m", minimum=max(1, d + 1))
+    trials = _int_field(cfg, "prediction_trials", 0, minimum=0)
     out = _out_dir(cfg)
-    m = int(_require(cfg, "m"))
-    d = int(cfg.get("d", -1))
     sigma = float(cfg.get("sigma", 0.0))
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
@@ -165,14 +187,14 @@ def run_recover_spikes(cfg: dict) -> dict:
         eta = float(cfg.get("eta", 1.0))
         lam = lambda_rice(sigma, m, d, eta) if sigma > 0 else 1e-6
     lam = float(lam)
-    sol = solve_blasso(obs, lam, _blasso_opts(cfg))
+    sol = solve_blasso(obs, lam, opts)
     lam0 = lambda_rice(sigma, m, d, float(cfg.get("eta", 1.0))) if sigma > 0 else 0.0
     report = recovery_report(sol.measure, x, lam, m, lam0=lam0,
-                             prediction_trials=int(cfg.get("prediction_trials", 0)),
+                             prediction_trials=trials,
                              seed=seed)
     write_json(out / "target.json", measure_to_dict(x))
     write_json(out / "observation.json", observation_to_dict(obs))
-    write_json(out / "solution.json", solution_to_dict(sol, include_timing=False))
+    write_json(out / "solution.json", solution_to_dict(sol))
     write_json(out / "report.json", report.to_dict())
     rows = [("true", float(t), float(w)) for t, w in zip(x.support, x.weights)]
     rows += [("recovered", float(t), float(w))
@@ -190,28 +212,28 @@ def run_recover_spikes(cfg: dict) -> dict:
 
 
 def _blasso_opts(cfg: dict, interior_support: bool = False) -> BlassoOptions:
-    kw = {"interior_support": interior_support}
-    for key in ("sdp_tol", "sdp_max_iter", "level_tol", "sign_threshold",
-                "amplitude_floor", "interior_support"):
+    """Solver options from the config; the mode decides `interior_support`,
+    and the level-set thresholds are fixed."""
+    for key in ("level_tol", "sign_threshold", "interior_support"):
         if key in cfg:
-            kw[key] = cfg[key]
-    return BlassoOptions(**kw)
+            raise ConfigError(f"'{key}' is not a config field: it is fixed "
+                              f"by the solver or by the mode")
+    kw = {key: cfg[key] for key in ("sdp_tol", "sdp_max_iter", "amplitude_floor")
+          if key in cfg}
+    return BlassoOptions(interior_support=interior_support, **kw)
 
 
 def run_recover_spline(cfg: dict) -> dict:
-    profile_points = cfg.get("profile_points", 1024)
-    # exactly int: a JSON true would pass isinstance(profile_points, int)
-    if type(profile_points) is not int or profile_points < 2:
-        raise ConfigError(f"profile_points must be an integer >= 2, "
-                          f"got {profile_points!r}")
+    profile_points = _int_field(cfg, "profile_points", 1024, minimum=2)
+    opts = _blasso_opts(cfg, interior_support=True)
     out = _out_dir(cfg)
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
     f = _spline_from_target(cfg, rng)
     d = f.degree
-    if "d" in cfg and int(cfg["d"]) != d:
+    if _int_field(cfg, "d", d) != d:
         raise ConfigError(f"config d={cfg['d']} does not match spline degree {d}")
-    m = int(_require(cfg, "m"))
+    m = _int_field(cfg, "m", minimum=1)
     if m <= d:
         raise ConfigError(f"need m > d, got m={m}, d={d}")
     b = boundary_vector(f)
@@ -233,7 +255,7 @@ def run_recover_spline(cfg: dict) -> dict:
         alpha = float(cfg.get("alpha", cfg.get("eta", 1.0)))
         lam = lambda_algorithm(sigma, m, d, alpha) if sigma > 0 else 1e-6
     lam = float(lam)
-    sol = solve_blasso(obs, lam, _blasso_opts(cfg, interior_support=True))
+    sol = solve_blasso(obs, lam, opts)
     f_hat = integrate_from_spikes(sol.measure, b, d)
     resid = boundary_residual(f_hat, b)
     report = spline_jump_report(f_hat, f, lam, m)
@@ -253,7 +275,7 @@ def run_recover_spline(cfg: dict) -> dict:
     write_json(out / "spline_hat.json", spline_to_dict(f_hat))
     write_json(out / "spikes_hat.json", measure_to_dict(sol.measure))
     write_json(out / "report.json", report.to_dict())
-    write_json(out / "solution.json", solution_to_dict(sol, include_timing=False))
+    write_json(out / "solution.json", solution_to_dict(sol))
     summary = {
         "mode": "recover-spline", "m": m, "d": d, "sigma0": sigma0,
         "sigma": sigma, "lam": lam, "n_atoms": len(sol.measure),
@@ -267,8 +289,10 @@ def run_recover_spline(cfg: dict) -> dict:
 
 
 def run_certificate(cfg: dict) -> dict:
+    m = _int_field(cfg, "m", minimum=1)
+    # verify_certificate needs at least 10 grid points per order
+    grid_size = _int_field(cfg, "grid_size", 10_000, minimum=10 * m)
     out = _out_dir(cfg)
-    m = int(_require(cfg, "m"))
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
     if "support" in cfg:
@@ -279,8 +303,8 @@ def run_certificate(cfg: dict) -> dict:
             raise ConfigError(f"support file {path} does not exist")
         support = np.asarray(json.loads(path.read_text()), dtype=float)
     else:
-        support = random_separated_support(rng, int(cfg.get("n_points", 3)), m)
-    grid_size = int(cfg.get("grid_size", 10_000))
+        support = random_separated_support(
+            rng, _int_field(cfg, "n_points", 3, minimum=1), m)
     anchors = []
     worst = np.inf
     interp = 0.0
@@ -316,7 +340,7 @@ def rice_exceedance(m: int, d: int, sigma: float, eta: float, n_trials: int,
     """Empirical frequency of the noise polynomial's grid sup norm exceeding
     the calibration threshold, against the analytic tail bound."""
     lam0 = lambda_rice(sigma, m, d, eta)
-    grid = arccos_uniform_grid(grid_factor * m)
+    grid = cheb_grid(grid_factor * m)
     Phi = phi_matrix(grid, m)[d + 1:]
     rng = np.random.default_rng(seed)
     exceed = 0
@@ -337,15 +361,15 @@ def rice_exceedance(m: int, d: int, sigma: float, eta: float, n_trials: int,
 
 
 def run_rice_check(cfg: dict) -> dict:
+    n_trials = _int_field(cfg, "n_trials", 10_000, minimum=100)
+    d = _int_field(cfg, "d", -1, minimum=-1)
+    m = _int_field(cfg, "m", minimum=max(1, d + 1))
+    grid_factor = _int_field(cfg, "grid_factor", 4, minimum=1)
     out = _out_dir(cfg)
-    n_trials = int(cfg.get("n_trials", 10_000))
-    if n_trials < 100:
-        raise ConfigError("rice check needs at least 100 trials")
     result = rice_exceedance(
-        m=int(_require(cfg, "m")), d=int(cfg.get("d", -1)),
-        sigma=float(cfg.get("sigma", 1.0)), eta=float(cfg.get("eta", 1.0)),
-        n_trials=n_trials, seed=cfg.get("seed", 0),
-        grid_factor=int(cfg.get("grid_factor", 4)))
+        m=m, d=d, sigma=float(cfg.get("sigma", 1.0)),
+        eta=float(cfg.get("eta", 1.0)), n_trials=n_trials,
+        seed=cfg.get("seed", 0), grid_factor=grid_factor)
     result["mode"] = "rice-check"
     write_json(out / "rice_report.json", result)
     return result

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import arccos_uniform_grid
+from .chebyshev import cheb_grid
 from .measures import DiscreteMeasure, moments, phi_matrix
 
 
@@ -89,7 +89,7 @@ def prediction_margin(x_hat: DiscreteMeasure, x: DiscreteMeasure, lam: float,
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     diff = moments(x_hat, m) - moments(x, m)
-    grid = arccos_uniform_grid(4 * max(m, 1))
+    grid = cheb_grid(4 * max(m, 1))
     Phi = phi_matrix(grid, m)
     coeffs = rng.standard_normal((trials, m + 1))
     sup = np.abs(coeffs @ Phi).max(axis=1)

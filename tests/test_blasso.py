@@ -109,6 +109,42 @@ class TestSolveBlasso:
         assert len(sol.measure) <= 8 + 2
         assert np.all(sol.measure.weights > 0)
 
+    @pytest.mark.parametrize("m", [8, 16, 32])
+    @pytest.mark.parametrize("d", [-1, 0, 2])
+    def test_constant_dual_path_is_optimal(self, d, m):
+        # y = c*e0: the dual polynomial is the constant -lam, and every
+        # positive measure with the optimal moments c* is a minimizer
+        lam = 0.5
+        y = np.zeros(m + 1)
+        y[0] = 2.0
+        obs = Observation(y, d, m, 0.0)
+        sol = solve_blasso(obs, lam)
+        assert sol.degenerate
+        kkt = sol.kkt_residuals
+        assert sol.duality_gap_rel <= 1e-6
+        assert kkt["tv_identity_gap"] <= 1e-6 * lam
+        assert kkt["feasibility_gap"] <= 1e-6 * lam
+        assert kkt["equality_gap"] <= 1e-7
+        c_star = obs.y.copy()
+        c_star[d + 1:] += sol.dual.alpha[d + 1:]
+        np.testing.assert_allclose(moments(sol.measure, m), c_star,
+                                   atol=1e-9, rtol=0)
+        assert 1 <= len(sol.measure) <= m + 1
+        assert np.all(sol.measure.weights > 0)
+
+    @pytest.mark.parametrize("m, d", [(8, -1), (16, 0), (32, 2)])
+    def test_constant_dual_path_keeps_interior_support(self, m, d):
+        y = np.zeros(m + 1)
+        y[0] = 2.0
+        obs = Observation(y, d, m, 0.0)
+        sol = solve_blasso(obs, 0.5, BlassoOptions(interior_support=True))
+        assert sol.degenerate
+        assert np.abs(sol.measure.support).max() <= np.cos(0.5 / m)
+        c_star = obs.y.copy()
+        c_star[d + 1:] += sol.dual.alpha[d + 1:]
+        np.testing.assert_allclose(moments(sol.measure, m), c_star,
+                                   atol=1e-9, rtol=0)
+
     def test_keeps_the_sdp_iteration_log(self):
         x = DiscreteMeasure([-0.5, 0.3], [-0.8, 1.5])
         sol = solve_blasso(noiseless_obs(x, 32), 1e-6)
@@ -234,13 +270,12 @@ class TestRefineSupport:
         x = DiscreteMeasure([-0.5, 0.3], [-0.8, 1.5])
         obs = noiseless_obs(x, 32, d)
         signs = np.sign(x.weights)
-        ref, _, _ = _refine_support(x.support, obs, lam, signs, 1e-8)
+        ref, _ = _refine_support(x.support, obs, lam, signs, 1e-8)
         if lam == 0.0 or d + 1 > 2 * len(x):
             np.testing.assert_allclose(ref, x.support, atol=1e-10, rtol=0)
         for off in ([1e-3, 1e-3], [-1e-3, 1e-3]):
-            t, a, nu = _refine_support(x.support + off, obs, lam, signs, 1e-8)
+            t, a = _refine_support(x.support + off, obs, lam, signs, 1e-8)
             np.testing.assert_allclose(t, ref, atol=1e-10, rtol=0)
-            assert nu.size == d + 1
             eq = phi_matrix(t, 32)[:d + 1] @ a - obs.y[:d + 1]
             assert np.abs(eq).max(initial=0.0) <= 1e-12
 
@@ -252,7 +287,7 @@ class TestRefineSupport:
         signs = np.sign(x.weights)
         a0, _, keep = fit_weights(x.support, obs, 1e-6, signs)
         assert keep.all() and 0.0 < a0[1] < 1e-3
-        t, a, _ = _refine_support(x.support, obs, 1e-6, signs, 1e-3)
+        t, a = _refine_support(x.support, obs, 1e-6, signs, 1e-3)
         assert t.size == 2 and np.all(np.abs(a) >= 1e-3)
         np.testing.assert_allclose(t, x.support[[0, 2]], atol=1e-2)
         np.testing.assert_array_equal(a, fit_weights(t, obs, 1e-6, signs[[0, 2]])[0])
@@ -263,13 +298,12 @@ class TestRefineSupport:
         obs = noiseless_obs(x, 32, d)
         signs = np.sign(x.weights)
         # a floor above every fitted weight
-        t, a, nu = _refine_support(x.support, obs, 1e-6, signs, 10.0)
+        t, a = _refine_support(x.support, obs, 1e-6, signs, 10.0)
         assert t.size == 0 and a.size == 0
-        np.testing.assert_array_equal(nu, np.zeros(d + 1))
         # signs the sign-consistent fit rejects entirely
         if d < 0:
-            t, a, nu = _refine_support(x.support, obs, 1e-6, -signs, 1e-8)
-            assert t.size == 0 and a.size == 0 and nu.size == 0
+            t, a = _refine_support(x.support, obs, 1e-6, -signs, 1e-8)
+            assert t.size == 0 and a.size == 0
 
     def test_solve_with_floor_above_every_weight_is_empty(self):
         x = DiscreteMeasure([-0.5, 0.3], [-0.8, 1.5])

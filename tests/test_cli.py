@@ -100,6 +100,68 @@ class TestConfigErrors:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["recover-spline", "recover-spikes"])
+    @pytest.mark.parametrize("key, value", [("level_tol", 1e-3),
+                                            ("sign_threshold", 0.5),
+                                            ("interior_support", False)])
+    def test_fixed_solver_fields(self, tmp_path, mode, key, value, capsys):
+        # the thresholds are solver constants and the mode decides
+        # interior_support: a recover-spline run with atoms at +-1 would
+        # break the spline's boundary conditions
+        out = tmp_path / "out"
+        target = ({"spline": spline_to_dict(demo_spline())}
+                  if mode == "recover-spline" else
+                  {"measure": measure_to_dict(DiscreteMeasure([0.2], [1.0]))})
+        cfg = {"m": 8, "out_dir": str(out), "target": target, key: value}
+        code = cli.main([mode, "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, cfg", [
+        ("rice-check", {"m": 16, "n_trials": 150.9}),
+        ("rice-check", {"m": 16.5}),
+        ("rice-check", {"m": 16, "d": True}),
+        ("rice-check", {"m": 16, "grid_factor": 4.5}),
+        ("rice-check", {"m": 8, "d": 8}),
+        ("certificate", {"m": 12, "support": [0.1], "grid_size": 1.7}),
+        ("certificate", {"m": 12, "support": [0.1], "grid_size": 119}),
+        ("certificate", {"m": 12, "n_points": 2.5}),
+        ("recover-spikes", {"m": 12.5, "target": {"measure": {
+            "support": [0.2], "weights": [1.0]}}}),
+        ("recover-spikes", {"m": 12, "prediction_trials": 1.5, "target": {
+            "measure": {"support": [0.2], "weights": [1.0]}}}),
+        ("recover-spikes", {"m": 12, "target": {
+            "random_measure": {"n_spikes": 2.5}}}),
+        ("recover-spikes", {"m": 8, "d": 8, "target": {"measure": {
+            "support": [0.2], "weights": [1.0]}}}),
+        ("recover-spline", {"m": 16, "d": 2, "target": {
+            "random_spline": {"n_knots": 2.5}}}),
+        ("recover-spline", {"m": 16, "d": 2.5, "target": {"random_spline": {}}}),
+        ("recover-spline", {"m": 16, "d": -1, "target": {"random_spline": {}}}),
+        ("recover-spline", {"m": 8.5, "target": {
+            "spline": spline_to_dict(demo_spline())}}),
+        ("recover-spline", {"m": "8", "target": {
+            "spline": spline_to_dict(demo_spline())}}),
+        ("recover-spline", {"m": None, "target": {
+            "spline": spline_to_dict(demo_spline())}}),
+    ])
+    def test_bad_integer_fields(self, tmp_path, mode, cfg):
+        # int() would truncate the fractional values, and the out-of-range
+        # ones would fail deep inside the run; each must be a config error
+        cfg = dict(cfg, out_dir=str(tmp_path / "out"))
+        code = cli.main([mode, "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+
+    def test_integral_float_is_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = {"m": 16.0, "n_trials": 150.0, "out_dir": str(out)}
+        code = cli.main(["rice-check", "--config",
+                         write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_OK
+        rep = json.loads((out / "rice_report.json").read_text())
+        assert rep["n_trials"] == 150 and rep["m"] == 16
+
 
 class TestRiceCheck:
     def test_summary_and_determinism(self, tmp_path):
