@@ -104,6 +104,14 @@ def assemble_dual_sdp(obs: Observation, lam: float) -> sdp.SdpProblem:
     (m+1) enforce lam +- sum alpha_k phi_k >= 0: writing the cosine
     coefficients r0 = lam +- alpha_0, r_k = +- alpha_k / sqrt(2), each r_k
     must equal the k-th subdiagonal sum of a PSD Gram matrix.
+
+    The problem carries the strictly feasible start the solve begins from.
+    Primal: both Gram matrices (lam/n) I and alpha = 0, so the trace rows
+    read lam and every subdiagonal row 0.  Dual: nu = -U e_0 on block 0, and
+    on block 1 the solution of F' nu = y, so that Z_0 = U I and
+    Z_1 = U I - T(y), T(y) the symmetric Toeplitz matrix with first column
+    (y_0, y_k / sqrt(2)).  U is 1 plus a Gershgorin bound of T(y), so
+    Z_1 - I is positive semidefinite.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -124,7 +132,17 @@ def assemble_dual_sdp(obs: Observation, lam: float) -> sdp.SdpProblem:
 
     quad = np.zeros((n, n))
     quad[np.arange(d + 1, n), np.arange(d + 1, n)] = 1.0
+
+    # each row of |T(y)| holds |y_0| once and each |y_k| / sqrt(2) at most
+    # twice: the Gershgorin bound
+    U = 1.0 + abs(obs.y[0]) + np.sqrt(2.0) * np.abs(obs.y[1:]).sum()
+    nu = np.zeros(2 * n)
+    nu[0] = -U
+    nu[n:] = obs.y / scale
+    nu[n] -= U
     return sdp.SdpProblem(free_dim=n, rhs=h, block_entries=[block1, block2],
+                          start_psd=[np.eye(n) * (lam / n)] * 2,
+                          start_free=np.zeros(n), start_nu=nu,
                           free_coeffs=F, quad=quad, lin=obs.y.copy())
 
 

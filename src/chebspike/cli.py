@@ -102,6 +102,18 @@ def _int_field(cfg: dict, key: str, default: int | None = None,
     return val
 
 
+def _real_field(cfg: dict, key: str, positive: bool) -> float:
+    """Config field `key` as a finite number, > 0 if `positive` else >= 0;
+    bools and strings are not numbers."""
+    val = cfg[key]
+    if not (type(val) in (int, float) and np.isfinite(val)
+            and (val > 0 if positive else val >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"config field '{key}' must be a finite number "
+                          f"{bound}, got {val!r}")
+    return float(val)
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg.get("out_dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -218,8 +230,14 @@ def _blasso_opts(cfg: dict, interior_support: bool = False) -> BlassoOptions:
         if key in cfg:
             raise ConfigError(f"'{key}' is not a config field: it is fixed "
                               f"by the solver or by the mode")
-    kw = {key: cfg[key] for key in ("sdp_tol", "sdp_max_iter", "amplitude_floor")
-          if key in cfg}
+    kw = {}
+    if "sdp_tol" in cfg:
+        kw["sdp_tol"] = _real_field(cfg, "sdp_tol", positive=True)
+    if "sdp_max_iter" in cfg:
+        kw["sdp_max_iter"] = _int_field(cfg, "sdp_max_iter", minimum=1)
+    # null keeps the default floor
+    if cfg.get("amplitude_floor") is not None:
+        kw["amplitude_floor"] = _real_field(cfg, "amplitude_floor", positive=False)
     return BlassoOptions(interior_support=interior_support, **kw)
 
 
@@ -365,6 +383,9 @@ def run_rice_check(cfg: dict) -> dict:
     d = _int_field(cfg, "d", -1, minimum=-1)
     m = _int_field(cfg, "m", minimum=max(1, d + 1))
     grid_factor = _int_field(cfg, "grid_factor", 4, minimum=1)
+    if grid_factor * m < 2:
+        raise ConfigError(f"the grid has grid_factor*m = {grid_factor * m} "
+                          f"point(s) and needs at least 2")
     out = _out_dir(cfg)
     result = rice_exceedance(
         m=m, d=d, sigma=float(cfg.get("sigma", 1.0)),

@@ -25,14 +25,25 @@ S^-1/2 (R^-1 dX R^-T) S^-1/2, and of Z the same with R' dZ R, so each needs
 one smallest eigenvalue and no factorization.  Intended for block
 dimensions up to a few hundred.
 
+The solve starts from a strictly feasible primal-dual point that comes with
+the problem (`SdpProblem.start_psd`, `start_free`, `start_nu`): X_b and
+Z_b = -A_b*(nu) positive definite, r_p and r_d zero up to roundoff.  The
+trace-parameterized programs of this package always have one in closed form
+(`blasso.assemble_dual_sdp`).  X and x move with the same primal step
+length, so r_p stays at roundoff on every iterate and the solver needs no
+infeasibility status or phase-one work (Vandenberghe & Boyd, SIAM Review
+1996, sections 6-7).  r_d does not stay there: x moves with the primal step
+length and nu with the dual one, so a step with unequal lengths puts part of
+the Newton correction back into r_d.
+
 Every iterate is centrosymmetric (J X_b J = X_b, J Z_b J = Z_b, J the
 exchange matrix), so each block is carried as its halves on the even vectors
 (e_i + e_{n-1-i})/sqrt(2), plus e_mid for odd n, and on the odd vectors
 (e_i - e_{n-1-i})/sqrt(2): sizes ceil(n/2) and floor(n/2).  This symmetry
 reduction (Gatermann & Parrilo, J. Pure Appl. Algebra 2004) is exact here:
-every A_rb is symmetric Toeplitz and commutes with J, so does the start
-X = Z = I, and the NT scaling, Z^-1, W r_c W and the corrector term are
-equivariant under M -> J M J.  The NT scalings, step lengths and updates
+every A_rb is symmetric Toeplitz and commutes with J, the start is checked to
+be centrosymmetric, and the NT scaling, Z^-1, W r_c W and the corrector term
+are equivariant under M -> J M J.  The NT scalings, step lengths and updates
 run per half, about a quarter of the dense work of a full block; apply,
 adjoint and the Schur complement stay on the full blocks, reached by O(n^2)
 slicing (`_split`, `_join`).  The method is deterministic: identical inputs
@@ -59,7 +70,8 @@ leaving the symmetric quasi-definite system
 While the complementarity gap and residuals generally decrease monotonically,
 a step that would increase the combined merit (relative gap plus relative
 residuals) more than tenfold is halved up to three times before being
-accepted; this is the safeguard referred to in the iteration log.  A
+accepted; this is the safeguard referred to in the iteration log, which
+records each step's lengths `ap`, `ad` and its number of `halvings`.  A
 vanishing gap, a non-finite Schur complement or a non-finite Newton
 direction ends the solve at the numerical floor, named under `stop` in the
 last log row.
@@ -80,7 +92,6 @@ from scipy.linalg.lapack import dsyevr
 class SdpStatus(Enum):
     SOLVED = "Solved"
     MAX_ITER = "MaxIter"
-    INFEASIBLE = "Infeasible"
 
 
 class SdpError(Exception):
@@ -111,11 +122,20 @@ class SdpProblem:
     the block sizes follow from them (`psd_block_dims`).  free_coeffs is the
     dense (p, free_dim) matrix F, quad the PSD quadratic form on the free
     block and lin its linear term.
+
+    The solve starts from (start_psd, start_free, start_nu): the PSD blocks
+    X_b, the free vector x and the equality multipliers nu of a strictly
+    feasible primal-dual point.  Each X_b and Z_b = -A_b*(nu) must be
+    positive definite and centrosymmetric, and r_p = h - A(X) - F x and
+    r_d = F' nu - Q x - q must vanish up to roundoff; otherwise SdpError.
     """
 
     free_dim: int
     rhs: np.ndarray
     block_entries: list
+    start_psd: list
+    start_free: np.ndarray
+    start_nu: np.ndarray
     free_coeffs: np.ndarray | None = None
     quad: np.ndarray | None = None
     lin: np.ndarray | None = None
@@ -163,6 +183,37 @@ class SdpProblem:
         if not touched.all():
             bad = np.nonzero(~touched)[0]
             raise SdpError(f"constraint rows {bad.tolist()} have no coefficients")
+        self._check_start()
+
+    def _check_start(self):
+        X = [np.asarray(Xb, dtype=float) for Xb in self.start_psd]
+        x = np.atleast_1d(np.asarray(self.start_free, dtype=float))
+        nu = np.atleast_1d(np.asarray(self.start_nu, dtype=float))
+        dims, p, F, Q, q = (self.psd_block_dims, self.n_constraints,
+                            self.free_coeffs, self.quad, self.lin)
+        if ([Xb.shape for Xb in X] != [(n, n) for n in dims]
+                or x.shape != (self.free_dim,) or nu.shape != (p,)):
+            raise SdpError("start shapes do not match the problem")
+        blocks = [_ToeplitzBlock(ent.rows, ent.coeffs, p) for ent in self.block_entries]
+        for M in X + [-blk.adjoint(nu) for blk in blocks]:
+            if not (np.array_equal(M, M.T) and np.array_equal(M, M[::-1, ::-1])):
+                raise SdpError("start blocks must be symmetric and centrosymmetric")
+            try:
+                np.linalg.cholesky(M)
+            except np.linalg.LinAlgError:
+                raise SdpError("start is not strictly feasible: a block of X "
+                               "or Z is not positive definite") from None
+        # each residual entry against the sum of the magnitudes of its terms
+        r_p = self.rhs - F @ x - sum(blk.apply(Xb) for blk, Xb in zip(blocks, X))
+        mag_p = (np.abs(self.rhs) + np.abs(F) @ np.abs(x)
+                 + sum(np.abs(blk.apply(np.abs(Xb))) for blk, Xb in zip(blocks, X)))
+        r_d = F.T @ nu - Q @ x - q
+        mag_d = np.abs(F.T) @ np.abs(nu) + np.abs(Q) @ np.abs(x) + np.abs(q)
+        if np.any(np.abs(r_p) > 1e-12 * mag_p) or np.any(np.abs(r_d) > 1e-12 * mag_d):
+            raise SdpError("start is not feasible: r_p or r_d above roundoff")
+        object.__setattr__(self, "start_psd", X)
+        object.__setattr__(self, "start_free", x)
+        object.__setattr__(self, "start_nu", nu)
 
     @property
     def psd_block_dims(self) -> tuple:
@@ -309,11 +360,12 @@ def _join(halves: list) -> np.ndarray:
 def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSolution:
     """Solve the conic program to relative accuracy `tol`.
 
-    Returns SOLVED when the relative equality residual, dual residual,
-    complementarity residual and gap all fall below tol; INFEASIBLE when the
-    equality residual stalls above tolerance; MAX_ITER otherwise.  The
-    returned point is the best iterate, and `gap` is the largest of those
-    four relative measures there.
+    The solve starts from the problem's strictly feasible point, mapped to
+    the scaled coordinates.  Returns SOLVED when the relative equality
+    residual, dual residual, complementarity residual and gap all fall below
+    tol, and MAX_ITER otherwise (the iteration limit or a stop at the
+    numerical floor).  The returned point is the best iterate, and `gap` is
+    the largest of those four relative measures there.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -358,10 +410,12 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     def join(halves):
         return [_join(halves[s]) for s in spans]
 
-    X = split([np.eye(n) for n in dims])
-    Z = [Xh.copy() for Xh in X]
-    x = np.zeros(f)
-    nu = np.zeros(p)
+    # the start in the scaled coordinates: X, x over s_var, and nu times
+    # row_scale / s_obj, which makes Z_b = -A_b*(nu) the original Z_b / s_obj
+    X = split([Xb / s_var for Xb in prob.start_psd])
+    x = prob.start_free / s_var
+    nu = prob.start_nu * row_scale / s_obj
+    Z = split([-blk.adjoint(nu) for blk in blocks])
 
     def measures(X, Z, x, nu):
         """Residuals, complementarity and relative measures of an iterate;
@@ -388,12 +442,9 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         return r_p, r_d, split(r_c), gap, rel
 
     log = []
-    status = SdpStatus.MAX_ITER
     it = 0
-    best_rp = np.inf
     best_rel = {"all": np.inf}
     best_point = None
-    stall = 0
     gamma = 0.99
     meas = measures(X, Z, x, nu)
 
@@ -402,25 +453,17 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         mu = gap / N
         log.append({"iter": it - 1, "pobj": s_obj * s_var * rel["pobj"],
                     "dobj": s_obj * s_var * rel["dobj"], "gap": rel["gap"],
-                    "rp": rel["rp"], "rd": rel["rd"], "rc": rel["rc"]})
+                    "rp": rel["rp"], "rd": rel["rd"], "rc": rel["rc"],
+                    "ap": 0.0, "ad": 0.0, "halvings": 0})
         if rel["all"] < best_rel["all"]:
             best_rel = rel
             best_point = ([Xh.copy() for Xh in X], [Zh.copy() for Zh in Z],
                           x.copy(), nu.copy())
         if rel["all"] <= tol:
-            status = SdpStatus.SOLVED
             break
         if gap <= 0.0 or mu < 1e-17 * (1.0 + abs(rel["pobj"])):
             # numerical floor; classify from the best iterate below
             log[-1]["stop"] = "numerical floor"
-            break
-        if rel["rp"] < 0.9 * best_rp:
-            best_rp = rel["rp"]
-            stall = 0
-        else:
-            stall += 1
-        if stall >= 25 and rel["rp"] > 100.0 * tol:
-            status = SdpStatus.INFEASIBLE
             break
 
         # NT scalings per half, Schur complement per full block
@@ -509,20 +552,20 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         del step, _, corr
         ap, ad = min(1.0, gamma * ap), min(1.0, gamma * ad)
 
-        for _ in range(4):
-            Xn = [Xh + ap * dxh for Xh, dxh in zip(X, dX)]
-            Zn = [Zh + ad * dzh for Zh, dzh in zip(Z, dZ)]
-            xn = x + ap * dx
-            nun = nu + ad * dnu
+        for halvings in range(4):
+            sp, sd = ap * 0.5 ** halvings, ad * 0.5 ** halvings
+            Xn = [Xh + sp * dxh for Xh, dxh in zip(X, dX)]
+            Zn = [Zh + sd * dzh for Zh, dzh in zip(Z, dZ)]
+            xn = x + sp * dx
+            nun = nu + sd * dnu
             meas = measures(Xn, Zn, xn, nun)
             # the trial gap is normalised by the current point's objectives,
             # as in the current point's own merit
             merit_n = (meas[3] / (1.0 + abs(rel["pobj"]) + abs(rel["dobj"]))
                        + meas[-1]["rp"] + meas[-1]["rd"])
-            if merit_n <= 10.0 * rel["merit"] or ap < 1e-3:
+            if merit_n <= 10.0 * rel["merit"] or sp < 1e-3:
                 break
-            ap *= 0.5
-            ad *= 0.5
+        log[-1].update(ap=sp, ad=sd, halvings=halvings)
         X, Z, x, nu = Xn, Zn, xn, nun
 
     # fall back to the best iterate seen if the last one is not the best
@@ -531,10 +574,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         X, Z, x, nu = best_point
         rel = best_rel
     final_gap = rel["all"]
-    if status != SdpStatus.INFEASIBLE and final_gap <= tol:
-        status = SdpStatus.SOLVED
-    if status == SdpStatus.MAX_ITER and rel["rp"] > 100.0 * tol:
-        status = SdpStatus.INFEASIBLE
+    status = SdpStatus.SOLVED if final_gap <= tol else SdpStatus.MAX_ITER
 
     # undo the scaling and clip roundoff negatives, per half so that the
     # returned blocks stay exactly centrosymmetric

@@ -153,6 +153,46 @@ class TestConfigErrors:
         code = cli.main([mode, "--config", write_cfg(tmp_path, "c.json", cfg)])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("mode", ["recover-spline", "recover-spikes"])
+    @pytest.mark.parametrize("key, value", [
+        ("sdp_tol", -1), ("sdp_tol", 0), ("sdp_tol", "1e-9"), ("sdp_tol", True),
+        ("sdp_tol", None), ("sdp_max_iter", 2.5), ("sdp_max_iter", True),
+        ("sdp_max_iter", 0), ("amplitude_floor", "x"), ("amplitude_floor", -1.0),
+        ("amplitude_floor", False)])
+    def test_bad_solver_fields(self, tmp_path, mode, key, value, capsys):
+        # each used to end in a traceback (exit 1), or in a one-iteration
+        # solve reported as a solver failure (sdp_max_iter true, exit 3)
+        out = tmp_path / "out"
+        target = ({"spline": spline_to_dict(demo_spline())}
+                  if mode == "recover-spline" else
+                  {"measure": measure_to_dict(DiscreteMeasure([0.2], [1.0]))})
+        cfg = {"m": 8, "out_dir": str(out), "target": target, key: value}
+        code = cli.main([mode, "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solver_fields_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = {"m": 8, "out_dir": str(out), "sdp_tol": 1e-8, "sdp_max_iter": 150.0,
+               "amplitude_floor": None,
+               "target": {"measure": measure_to_dict(DiscreteMeasure([0.2], [1.0]))}}
+        code = cli.main(["recover-spikes", "--config",
+                         write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_OK
+
+    def test_one_point_rice_grid(self, tmp_path, capsys):
+        # cheb_grid needs two points; the grid has grid_factor * m
+        out = tmp_path / "out"
+        cfg = {"m": 1, "grid_factor": 1, "n_trials": 100, "out_dir": str(out)}
+        code = cli.main(["rice-check", "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert "grid_factor" in capsys.readouterr().err
+        assert not out.exists()
+        cfg["grid_factor"] = 2
+        code = cli.main(["rice-check", "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_OK
+
     def test_integral_float_is_accepted(self, tmp_path):
         out = tmp_path / "out"
         cfg = {"m": 16.0, "n_trials": 150.0, "out_dir": str(out)}

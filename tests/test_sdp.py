@@ -9,16 +9,31 @@ from hypothesis import strategies as st
 from chebspike import sdp
 
 
+# for problems that are rejected before their start is checked
+NO_START = {"start_psd": [], "start_free": np.zeros(0), "start_nu": np.zeros(0)}
+
+
 def pinned_psd_scalar():
     return sdp.SdpProblem(free_dim=0, rhs=np.array([3.0]),
-                          block_entries=[sdp.ToeplitzEntries([0], [1.0])])
+                          block_entries=[sdp.ToeplitzEntries([0], [1.0])],
+                          start_psd=[np.array([[3.0]])], start_free=np.zeros(0),
+                          start_nu=np.array([-1.0]))
 
 
-def trig_cone_problem(r1):
+def trig_cone_start(r1):
+    """X with diagonal sum 1 and subdiagonal sum r1, positive definite for
+    |r1| < 1/2, and nu = -e_0, so Z = I."""
+    return {"start_psd": [np.array([[0.5, r1], [r1, 0.5]])],
+            "start_free": np.zeros(0), "start_nu": np.array([-1.0, 0.0])}
+
+
+def trig_cone_problem(r1, **start):
     """2x2 Gram block with diagonal sum 1 and subdiagonal sum r1; feasible
-    exactly when the cosine polynomial 1 + 2 r1 cos is nonnegative."""
+    exactly when the cosine polynomial 1 + 2 r1 cos is nonnegative, strictly
+    for |r1| < 1/2, where the default start is strictly feasible."""
     return sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, r1]),
-                          block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 1.0])])
+                          block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 1.0])],
+                          **{**trig_cone_start(r1), **start})
 
 
 class TestBasicSolves:
@@ -33,10 +48,6 @@ class TestBasicSolves:
         X = sol.psd_blocks[0]
         assert np.trace(X) == pytest.approx(1.0, abs=1e-7)
         assert X[1, 0] + X[0, 1] == pytest.approx(2 * 0.4, abs=1e-7)
-
-    def test_infeasible_trig_cone(self):
-        sol = sdp.solve(trig_cone_problem(0.6), max_iter=80)
-        assert sol.status == sdp.SdpStatus.INFEASIBLE
 
 
 class TestSolutionInvariants:
@@ -69,24 +80,31 @@ class TestValidation:
     def test_empty_constraint_row_rejected(self):
         with pytest.raises(sdp.SdpError):
             sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, 2.0]),
-                           block_entries=[sdp.ToeplitzEntries([0], [1.0])])
+                           block_entries=[sdp.ToeplitzEntries([0], [1.0])],
+                           **NO_START)
         with pytest.raises(sdp.SdpError):
             sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, 2.0]),
-                           block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 0.0])])
+                           block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 0.0])],
+                           **NO_START)
 
     def test_shape_checks(self):
         ent = [sdp.ToeplitzEntries([0, 1], [1.0, 1.0])]
         for bad in ({"free_coeffs": np.ones((1, 1))}, {"quad": np.ones((2, 2))},
                     {"lin": np.ones(2)}):
             with pytest.raises(sdp.SdpError):
-                sdp.SdpProblem(free_dim=1, rhs=np.ones(2), block_entries=ent, **bad)
+                sdp.SdpProblem(free_dim=1, rhs=np.ones(2), block_entries=ent,
+                               **NO_START, **bad)
         with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(free_dim=0, rhs=np.ones(4), block_entries=ent)
+            sdp.SdpProblem(free_dim=0, rhs=np.ones(4), block_entries=ent, **NO_START)
 
     def test_block_dims_follow_entries(self):
-        prob = sdp.SdpProblem(free_dim=0, rhs=np.ones(5),
+        # X_b = I is a strictly feasible start: trace rows 3 and 2, the
+        # subdiagonal rows 0
+        prob = sdp.SdpProblem(free_dim=0, rhs=np.array([3.0, 0.0, 0.0, 2.0, 0.0]),
                               block_entries=[sdp.ToeplitzEntries([0, 1, 2], np.ones(3)),
-                                             sdp.ToeplitzEntries([3, 4], np.ones(2))])
+                                             sdp.ToeplitzEntries([3, 4], np.ones(2))],
+                              start_psd=[np.eye(3), np.eye(2)], start_free=np.zeros(0),
+                              start_nu=np.array([-1.0, 0.0, 0.0, -1.0, 0.0]))
         assert prob.psd_block_dims == (3, 2)
         with pytest.raises(AttributeError):
             prob.psd_block_dims = (2, 2)
@@ -94,16 +112,20 @@ class TestValidation:
     def test_only_toeplitz_blocks_accepted(self):
         triplet = (np.array([0]), np.array([0]), np.array([0]), np.array([1.0]))
         with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(free_dim=0, rhs=np.ones(1), block_entries=[triplet])
+            sdp.SdpProblem(free_dim=0, rhs=np.ones(1), block_entries=[triplet],
+                           **NO_START)
         # a problem without a PSD block is not a conic program here
         with pytest.raises(sdp.SdpError):
             sdp.SdpProblem(free_dim=1, rhs=np.zeros(0), block_entries=[],
-                           quad=np.array([[2.0]]))
+                           quad=np.array([[2.0]]), **NO_START)
 
     def test_quadratic_objective_with_constraint(self):
-        # minimize x^2 with PSD scalar X and constraint X + x = 2
+        # minimize x^2 with PSD scalar X and constraint X + x = 2, from
+        # X = 3, x = -1 and nu = -2: r_d = nu - 2 x = 0 and Z = -nu = 2
         prob = sdp.SdpProblem(free_dim=1, rhs=np.array([2.0]),
                               block_entries=[sdp.ToeplitzEntries([0], [1.0])],
+                              start_psd=[np.array([[3.0]])],
+                              start_free=np.array([-1.0]), start_nu=np.array([-2.0]),
                               free_coeffs=np.array([[1.0]]),
                               quad=np.array([[2.0]]))
         sol = sdp.solve(prob)
@@ -194,8 +216,7 @@ class TestToeplitzAgainstSparse:
         np.testing.assert_array_equal(act, ent.rows)
         assert max_rel(H, schur_ref) <= 1e-13
 
-    @pytest.mark.parametrize("r1,status", [(0.4, sdp.SdpStatus.SOLVED),
-                                           (0.6, sdp.SdpStatus.INFEASIBLE)])
+    @pytest.mark.parametrize("r1,status", [(0.4, sdp.SdpStatus.SOLVED)])
     def test_trig_cone_status(self, r1, status):
         assert sdp.solve(trig_cone_problem(r1), max_iter=80).status == status
 
@@ -208,13 +229,107 @@ class TestToeplitzAgainstSparse:
             sdp.ToeplitzEntries([], [])
         with pytest.raises(sdp.SdpError):
             sdp.SdpProblem(free_dim=0, rhs=np.ones(2),
-                           block_entries=[sdp.ToeplitzEntries([0, 2], [1.0, 1.0])])
+                           block_entries=[sdp.ToeplitzEntries([0, 2], [1.0, 1.0])],
+                           **NO_START)
+
+
+def assembled(m, d, scale):
+    """The dual program of a noisy 3-spike observation scaled by `scale`,
+    lam a tenth of the largest |y|: with scale 1e4, the size of the moment
+    vectors of the spline runs."""
+    from chebspike.blasso import assemble_dual_sdp
+    from chebspike.measures import DiscreteMeasure
+    from chebspike.observation import simulate
+
+    x = DiscreteMeasure([-0.7, 0.1, 0.6], [scale, -0.6 * scale, 0.8 * scale])
+    obs = simulate(x, m, d, 0.01 * scale, seed=m)
+    return assemble_dual_sdp(obs, 0.1 * np.abs(obs.y).max())
+
+
+ASSEMBLED = [(m, d, scale) for m in (1, 8, 32, 128) for d in (-1, 0, 2)
+             for scale in (1.0, 1e4) if m > d]
+
+
+class TestFeasibleStart:
+    """Every assembled dual program carries a strictly feasible start, and
+    the equality residual stays at roundoff from there on."""
+
+    @pytest.mark.parametrize("m,d,scale", ASSEMBLED)
+    def test_assembled_start_is_strictly_feasible(self, m, d, scale):
+        prob = assembled(m, d, scale)
+        nu, x = prob.start_nu, prob.start_free
+        r_p = prob.rhs - prob.free_coeffs @ x
+        for ent, X in zip(prob.block_entries, prob.start_psd):
+            # A_b(X) and Z_b = -A_b*(nu) formed from the subdiagonals
+            r_p[ent.rows] -= ent.coeffs * [np.trace(X, offset=-k)
+                                           for k in range(ent.rows.size)]
+            t = 0.5 * ent.coeffs * nu[ent.rows]
+            t[0] *= 2.0
+            for M in (X, -sla.toeplitz(t)):
+                np.linalg.cholesky(M)
+                np.testing.assert_array_equal(M, M[::-1, ::-1])
+        r_d = prob.free_coeffs.T @ nu - prob.quad @ x - prob.lin
+        assert np.abs(r_p).max() <= 1e-13 * np.abs(prob.rhs).max()
+        assert np.abs(r_d).max() <= 1e-13 * np.abs(prob.lin).max()
+
+    @pytest.mark.parametrize("m,d,scale", ASSEMBLED)
+    def test_equality_residual_stays_at_roundoff(self, m, d, scale):
+        sol = sdp.solve(assembled(m, d, scale), tol=1e-9, max_iter=200)
+        assert sol.status == sdp.SdpStatus.SOLVED
+        assert max(row["rp"] for row in sol.iteration_log) <= 1e-10
+
+    def test_log_records_each_step(self):
+        log = sdp.solve(assembled(32, 0, 1e4), tol=1e-9).iteration_log
+        for row in log[:-1]:
+            assert 0.0 < row["ap"] <= 1.0 and 0.0 < row["ad"] <= 1.0
+            assert row["halvings"] in range(4)
+        # no step is taken from the last iterate
+        assert (log[-1]["ap"], log[-1]["ad"], log[-1]["halvings"]) == (0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("start", [
+        # r_p = 0.1 on the trace row
+        trig_cone_start(0.3) | {"start_psd": [np.array([[0.55, 0.3], [0.3, 0.55]])]},
+        # X has eigenvalue 0.5 - 0.6 < 0 with r_p = 0: r1 = 0.6 is infeasible
+        trig_cone_start(0.6),
+        # Z = -A*(nu) = -I
+        trig_cone_start(0.3) | {"start_nu": np.array([1.0, 0.0])},
+        # Z singular
+        trig_cone_start(0.3) | {"start_nu": np.array([-1.0, 2.0])},
+        # shape
+        trig_cone_start(0.3) | {"start_nu": np.array([-1.0])},
+    ])
+    def test_bad_start_rejected(self, start):
+        r1 = start["start_psd"][0][0, 1]
+        with pytest.raises(sdp.SdpError):
+            trig_cone_problem(r1, **start)
+
+    def test_start_must_be_centrosymmetric(self):
+        ent = [sdp.ToeplitzEntries([0, 1, 2], np.ones(3))]
+        start = {"start_free": np.zeros(0), "start_nu": np.array([-1.0, 0.0, 0.0])}
+        sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, 0.0, 0.0]), block_entries=ent,
+                       start_psd=[np.eye(3) / 3], **start)
+        with pytest.raises(sdp.SdpError, match="centrosymmetric"):
+            sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, 0.0, 0.0]),
+                           block_entries=ent, start_psd=[np.diag([0.2, 0.3, 0.5])],
+                           **start)
+
+    def test_dual_residual_checked(self):
+        # minimize x^2 s.t. X + x = 2: X = 3, x = -1 needs nu = 2 x = -2
+        def prob(nu):
+            return sdp.SdpProblem(free_dim=1, rhs=np.array([2.0]),
+                                  block_entries=[sdp.ToeplitzEntries([0], [1.0])],
+                                  start_psd=[np.array([[3.0]])],
+                                  start_free=np.array([-1.0]), start_nu=np.array([nu]),
+                                  free_coeffs=np.array([[1.0]]), quad=np.array([[2.0]]))
+        prob(-2.0)
+        with pytest.raises(sdp.SdpError, match="r_d"):
+            prob(-1.0)
 
 
 class TestNumericalFloor:
     def test_non_finite_direction_ends_with_status(self, monkeypatch):
         # poison the KKT solve from the third iteration's predictor on, as
-        # roundoff does on a diverging infeasible trajectory
+        # roundoff does on a diverging trajectory
         real = sdp._kkt_solve
         calls = []
 
@@ -224,15 +339,17 @@ class TestNumericalFloor:
             return sol if len(calls) < 5 else np.full_like(sol, np.nan)
 
         monkeypatch.setattr(sdp, "_kkt_solve", poisoned)
-        sol = sdp.solve(trig_cone_problem(0.6), max_iter=80)
-        assert sol.status == sdp.SdpStatus.INFEASIBLE
+        sol = sdp.solve(trig_cone_problem(0.45), tol=1e-9)
         assert sol.iterations == 3
         assert sol.iteration_log[-1]["stop"] == "non-finite direction"
         assert all("stop" not in row for row in sol.iteration_log[:-1])
+        # the best iterate is the last one: feasible, its gap above tol
+        assert sol.status == sdp.SdpStatus.MAX_ITER
+        assert sol.gap == sol.iteration_log[-1]["gap"] > 1e-9
 
     def test_non_finite_schur_complement_ends_with_status(self, monkeypatch):
         # poison the Schur complement from the fifth iteration on, as
-        # overflow does on a diverging infeasible trajectory
+        # overflow does on a diverging trajectory
         real = sdp._ToeplitzBlock.schur
         calls = []
 
