@@ -147,13 +147,14 @@ def unit_level_roots(p: ChebPoly, level: float, tol: float,
                      imag_tol: float = 1e-3) -> np.ndarray:
     """Locate the points of [-1, 1] where |p| reaches the given level.
 
-    Candidates are the real eigenvalue roots of level^2 - p^2 (colleague
-    matrix method), polished to local maximizers of |p| by a Newton
-    iteration on (p^2)'.  Near-duplicates within 0.5/m in arccos distance
-    are merged, keeping the representative with the largest |p|.  A point
-    is returned only if |p| >= level * (1 - tol) there.
+    Candidates are the real roots of level - p and of level + p, the
+    eigenvalues of two m x m colleague matrices (Boyd, SIAM J. Numer. Anal.
+    2002), polished to local maximizers of |p| by a Newton iteration on
+    (p^2)'.  Near-duplicates within 0.5/m in arccos distance are merged,
+    keeping the representative with the largest |p|.  A point is returned
+    only if |p| >= level * (1 - tol) there.
 
-    Tangential level-set points are double roots of level^2 - p^2 and the
+    Tangential level-set points are double roots of level -+ p and the
     eigenvalue solver splits them into close pairs, either real or complex
     with imaginary parts on the order of the square root of the coefficient
     error (machine eps plus whatever inexactness p carries); ``imag_tol``
@@ -176,21 +177,18 @@ def unit_level_roots(p: ChebPoly, level: float, tol: float,
         return np.array([])
 
     tc = p.to_chebyshev_t()
-    q = -npcheb.chebmul(tc, tc)
-    q[0] += level * level
-    scale = np.abs(q).max()
-    q = npcheb.chebtrim(q, tol=1e-14 * scale)
-    if q.size < 2:
-        candidates = np.array([])
-    else:
-        roots = npcheb.chebroots(q)
-        roots = np.atleast_1d(roots)
-        real = roots[np.abs(roots.imag) <= imag_tol].real if np.iscomplexobj(roots) \
-            else roots
-        real = real[(real >= -1.0 - 1e-9) & (real <= 1.0 + 1e-9)]
-        candidates = np.clip(real, -1.0, 1.0)
+    roots = [np.zeros(0)]
+    for sign in (1.0, -1.0):
+        q = -sign * tc
+        q[0] += level
+        q = npcheb.chebtrim(q, tol=1e-14 * np.abs(q).max())
+        if q.size >= 2:
+            roots.append(npcheb.chebroots(q))
+    roots = np.concatenate(roots)
+    real = roots[np.abs(roots.imag) <= imag_tol].real
+    real = real[(real >= -1.0 - 1e-9) & (real <= 1.0 + 1e-9)]
     # the endpoints can carry one-sided maxima that are not double roots
-    candidates = np.concatenate([candidates, [-1.0, 1.0]])
+    candidates = np.concatenate([np.clip(real, -1.0, 1.0), [-1.0, 1.0]])
 
     dc1 = npcheb.chebder(tc)
     dc2 = npcheb.chebder(dc1)

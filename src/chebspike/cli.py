@@ -102,9 +102,15 @@ def _int_field(cfg: dict, key: str, default: int | None = None,
     return val
 
 
-def _real_field(cfg: dict, key: str, positive: bool) -> float:
+def _real_field(cfg: dict, key: str, positive: bool,
+                default: float | None = None) -> float:
     """Config field `key` as a finite number, > 0 if `positive` else >= 0;
-    bools and strings are not numbers."""
+    bools and strings are not numbers.  A missing field is an error when
+    `default` is None."""
+    if key not in cfg:
+        if default is None:
+            raise ConfigError(f"missing config field '{key}'")
+        return default
     val = cfg[key]
     if not (type(val) in (int, float) and np.isfinite(val)
             and (val > 0 if positive else val >= 0)):
@@ -112,6 +118,14 @@ def _real_field(cfg: dict, key: str, positive: bool) -> float:
         raise ConfigError(f"config field '{key}' must be a finite number "
                           f"{bound}, got {val!r}")
     return float(val)
+
+
+def _lambda_field(cfg: dict, calibrated: float) -> float:
+    """'lambda' from the config; null or missing gives `calibrated`, or
+    1e-6 when that is 0 (a noiseless run)."""
+    if cfg.get("lambda") is None:
+        return calibrated or 1e-6
+    return _real_field(cfg, "lambda", positive=True)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -134,20 +148,28 @@ def random_separated_support(rng, n_points: int, m: int,
     raise ConfigError(f"could not sample {n_points} separated points at m={m}")
 
 
+def _parse_target(parse, obj):
+    """parse(obj), with a malformed target reported as a config error."""
+    try:
+        return parse(obj)
+    except ValueError as exc:
+        raise ConfigError(f"bad target: {exc}") from exc
+
+
 def _measure_from_target(cfg: dict, m: int, rng) -> DiscreteMeasure:
     target = _require(cfg, "target", dict)
     if "measure" in target:
-        return measure_from_dict(target["measure"])
+        return _parse_target(measure_from_dict, target["measure"])
     if "measure_file" in target:
         path = Path(target["measure_file"])
         if not path.exists():
             raise ConfigError(f"measure file {path} does not exist")
-        return measure_from_dict(json.loads(path.read_text()))
+        return _parse_target(measure_from_dict, json.loads(path.read_text()))
     if "random_measure" in target:
         spec_ = target["random_measure"]
         n = _int_field(spec_, "n_spikes", 3, minimum=0)
-        amin = float(spec_.get("min_amplitude", 0.5))
-        amax = float(spec_.get("max_amplitude", 2.0))
+        amin = _real_field(spec_, "min_amplitude", positive=False, default=0.5)
+        amax = _real_field(spec_, "max_amplitude", positive=False, default=2.0)
         support = random_separated_support(rng, n, m)
         amps = rng.uniform(amin, amax, n) * rng.choice([-1.0, 1.0], n)
         return DiscreteMeasure(support, amps)
@@ -157,18 +179,18 @@ def _measure_from_target(cfg: dict, m: int, rng) -> DiscreteMeasure:
 def _spline_from_target(cfg: dict, rng) -> NonUniformSpline:
     target = _require(cfg, "target", dict)
     if "spline" in target:
-        return spline_from_dict(target["spline"])
+        return _parse_target(spline_from_dict, target["spline"])
     if "spline_file" in target:
         path = Path(target["spline_file"])
         if not path.exists():
             raise ConfigError(f"spline file {path} does not exist")
-        return spline_from_dict(json.loads(path.read_text()))
+        return _parse_target(spline_from_dict, json.loads(path.read_text()))
     if "random_spline" in target:
         spec_ = target["random_spline"]
         d = _int_field(cfg, "d", minimum=0)
         m = _int_field(cfg, "m", minimum=1)
         n_knots = _int_field(spec_, "n_knots", 2, minimum=0)
-        jump_scale = float(spec_.get("jump_scale", 1.0))
+        jump_scale = _real_field(spec_, "jump_scale", positive=False, default=1.0)
         knots = random_separated_support(rng, n_knots, m)
         jumps = jump_scale * rng.uniform(0.8, 1.25, n_knots) \
             * rng.choice([-1.0, 1.0], n_knots)
@@ -188,19 +210,16 @@ def run_recover_spikes(cfg: dict) -> dict:
     d = _int_field(cfg, "d", -1, minimum=-1)
     m = _int_field(cfg, "m", minimum=max(1, d + 1))
     trials = _int_field(cfg, "prediction_trials", 0, minimum=0)
-    out = _out_dir(cfg)
-    sigma = float(cfg.get("sigma", 0.0))
+    sigma = _real_field(cfg, "sigma", positive=False, default=0.0)
+    eta = _real_field(cfg, "eta", positive=True, default=1.0)
+    lam0 = lambda_rice(sigma, m, d, eta) if sigma > 0 else 0.0
+    lam = _lambda_field(cfg, lam0)
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
     x = _measure_from_target(cfg, m, rng)
     obs = simulate(x, m, d, sigma, seed)
-    lam = cfg.get("lambda")
-    if lam is None:
-        eta = float(cfg.get("eta", 1.0))
-        lam = lambda_rice(sigma, m, d, eta) if sigma > 0 else 1e-6
-    lam = float(lam)
+    out = _out_dir(cfg)
     sol = solve_blasso(obs, lam, opts)
-    lam0 = lambda_rice(sigma, m, d, float(cfg.get("eta", 1.0))) if sigma > 0 else 0.0
     report = recovery_report(sol.measure, x, lam, m, lam0=lam0,
                              prediction_trials=trials,
                              seed=seed)
@@ -244,7 +263,6 @@ def _blasso_opts(cfg: dict, interior_support: bool = False) -> BlassoOptions:
 def run_recover_spline(cfg: dict) -> dict:
     profile_points = _int_field(cfg, "profile_points", 1024, minimum=2)
     opts = _blasso_opts(cfg, interior_support=True)
-    out = _out_dir(cfg)
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
     f = _spline_from_target(cfg, rng)
@@ -261,18 +279,19 @@ def run_recover_spline(cfg: dict) -> dict:
             raise ConfigError(
                 f"boundary must have length 2(d+1) = {2 * (d + 1)}, "
                 f"got {b_cfg.size}")
+        if not np.isfinite(b_cfg).all():
+            raise ConfigError("boundary must be finite")
         b = b_cfg
-    sigma0 = float(cfg.get("sigma0", 0.0))
+    sigma0 = _real_field(cfg, "sigma0", positive=False, default=0.0)
     sigma = scaled_sigma(sigma0, m, d) if sigma0 > 0 else 0.0
+    eta = _real_field(cfg, "eta", positive=True, default=1.0)
+    alpha = _real_field(cfg, "alpha", positive=True, default=eta)
+    lam = _lambda_field(cfg, lambda_algorithm(sigma, m, d, alpha) if sigma > 0 else 0.0)
     theta = projection_vector(f, m)
     if sigma > 0:
         theta = theta + rng.normal(0.0, sigma, m - d)
     obs = assemble_y_from_projection(theta, b, m, d, sigma=sigma)
-    lam = cfg.get("lambda")
-    if lam is None:
-        alpha = float(cfg.get("alpha", cfg.get("eta", 1.0)))
-        lam = lambda_algorithm(sigma, m, d, alpha) if sigma > 0 else 1e-6
-    lam = float(lam)
+    out = _out_dir(cfg)
     sol = solve_blasso(obs, lam, opts)
     f_hat = integrate_from_spikes(sol.measure, b, d)
     resid = boundary_residual(f_hat, b)
@@ -386,11 +405,11 @@ def run_rice_check(cfg: dict) -> dict:
     if grid_factor * m < 2:
         raise ConfigError(f"the grid has grid_factor*m = {grid_factor * m} "
                           f"point(s) and needs at least 2")
+    sigma = _real_field(cfg, "sigma", positive=True, default=1.0)
+    eta = _real_field(cfg, "eta", positive=True, default=1.0)
     out = _out_dir(cfg)
-    result = rice_exceedance(
-        m=m, d=d, sigma=float(cfg.get("sigma", 1.0)),
-        eta=float(cfg.get("eta", 1.0)), n_trials=n_trials,
-        seed=cfg.get("seed", 0), grid_factor=grid_factor)
+    result = rice_exceedance(m=m, d=d, sigma=sigma, eta=eta, n_trials=n_trials,
+                             seed=cfg.get("seed", 0), grid_factor=grid_factor)
     result["mode"] = "rice-check"
     write_json(out / "rice_report.json", result)
     return result

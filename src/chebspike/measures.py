@@ -25,6 +25,8 @@ class DiscreteMeasure:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if s.shape != w.shape or s.ndim != 1:
             raise ValueError("support and weights must be 1-d of equal length")
+        if not (np.isfinite(s).all() and np.isfinite(w).all()):
+            raise ValueError("support and weights must be finite")
         _check_domain(s)
         if s.size:
             uniq, inverse = np.unique(s, return_inverse=True)

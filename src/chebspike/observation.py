@@ -34,8 +34,10 @@ class Observation:
             raise ValueError("need m > d >= -1")
         if y.shape != (self.m + 1,):
             raise ValueError(f"y must have length m+1 = {self.m + 1}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
         object.__setattr__(self, "y", y)
 
 

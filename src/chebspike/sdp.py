@@ -67,6 +67,10 @@ leaving the symmetric quasi-definite system
     [ H   F ] [dnu]   [ r_p - A(D) ]        H[r,l] = sum_b tr(A_rb W_b A_lb W_b)
     [ F'  -Q ] [dx ] = [ -r_d      ],       D_b = rhs of the dX relation above.
 
+Each step writes H into the matrix on the left, whose F and -Q parts are
+set once per solve, and factors it by one unregularized LU; an exactly zero
+pivot makes the direction non-finite, which ends the solve as below.
+
 While the complementarity gap and residuals generally decrease monotonically,
 a step that would increase the combined merit (relative gap plus relative
 residuals) more than tenfold is halved up to three times before being
@@ -167,6 +171,9 @@ class SdpProblem:
         q = np.zeros(f) if q is None else np.atleast_1d(np.asarray(q, dtype=float))
         if q.shape != (f,):
             raise SdpError(f"lin must have shape ({f},)")
+        for name, val in (("rhs", h), ("free_coeffs", F), ("quad", Q), ("lin", q)):
+            if not np.all(np.isfinite(val)):
+                raise SdpError(f"{name} has non-finite entries")
         if p > sum(n * (n + 1) // 2 for n in self.psd_block_dims) + f:
             raise SdpError("more constraint rows than variable dimensions")
         object.__setattr__(self, "free_dim", f)
@@ -194,6 +201,9 @@ class SdpProblem:
         if ([Xb.shape for Xb in X] != [(n, n) for n in dims]
                 or x.shape != (self.free_dim,) or nu.shape != (p,)):
             raise SdpError("start shapes do not match the problem")
+        for name, vals in (("start_psd", X), ("start_free", [x]), ("start_nu", [nu])):
+            if not all(np.isfinite(v).all() for v in vals):
+                raise SdpError(f"{name} has non-finite entries")
         blocks = [_ToeplitzBlock(ent.rows, ent.coeffs, p) for ent in self.block_entries]
         for M in X + [-blk.adjoint(nu) for blk in blocks]:
             if not (np.array_equal(M, M.T) and np.array_equal(M, M[::-1, ::-1])):
@@ -299,9 +309,9 @@ def _chol(M: np.ndarray) -> np.ndarray:
 
 
 def _kkt_solve(lu, K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve K sol = rhs from the LU factors of K (or of K regularized) with
-    two steps of iterative refinement.  Non-finite values are passed
-    through, not raised, for the caller to treat as the numerical floor."""
+    """Solve K sol = rhs from the LU factors of K with two steps of
+    iterative refinement.  Non-finite values are passed through, not
+    raised, for the caller to treat as the numerical floor."""
     sol = sla.lu_solve(lu, rhs, check_finite=False)
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(2):
@@ -441,6 +451,10 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         rel["merit"] = rel["gap"] + rel["rp"] + rel["rd"]
         return r_p, r_d, split(r_c), gap, rel
 
+    # the KKT matrix [[H, F], [F', -Q]]; each step rewrites only H
+    K = np.zeros((p + f, p + f))
+    K[:p, p:], K[p:, :p], K[p:, p:] = F, F.T, -Q
+
     log = []
     it = 0
     best_rel = {"all": np.inf}
@@ -476,26 +490,12 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             # overflow on a diverging run; classify from the best iterate
             log[-1]["stop"] = "non-finite Schur complement"
             break
-        H = 0.5 * (H + H.T)
-        K0 = np.block([[H, F], [F.T, -Q]])
-        lu = None
-        reg = 0.0
-        for attempt in range(4):
-            # regularization keeps the quasi-definite sign pattern
-            K = K0 + reg * np.diag(np.r_[np.ones(p), -np.ones(f)])
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", sla.LinAlgWarning)
-                    cand = sla.lu_factor(K)
-            except ValueError as exc:
-                raise SdpError(f"KKT factorization failed: {exc}") from exc
-            probe = sla.lu_solve(cand, np.ones(p + f))
-            if np.all(np.isfinite(probe)):
-                lu = cand
-                break
-            reg = max(1e-12 * (1.0 + np.abs(np.diag(H)).max()), 10.0 * reg)
-        if lu is None:
-            raise SdpError("KKT system is numerically singular")
+        K[:p, :p] = 0.5 * (H + H.T)
+        # the data are finite (SdpProblem) and so is H; a zero pivot is
+        # caught below as a non-finite direction
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu = sla.lu_factor(K, check_finite=False)
 
         # the parts of the dX relation that do not depend on sigma
         Zinv = [(R / sv[None, :]) @ R.T for R, Rinv, W, sv in scal]
@@ -511,7 +511,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             for blk, Db in zip(blocks, join(D)):
                 g1 -= blk.apply(Db)
             rhs = np.concatenate([g1, -r_d]) if f else g1
-            sol = _kkt_solve(lu, K0, rhs)
+            sol = _kkt_solve(lu, K, rhs)
             if not np.all(np.isfinite(sol)):
                 return None
             dnu, dx = sol[:p], sol[p:]

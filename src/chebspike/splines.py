@@ -50,6 +50,8 @@ class NonUniformSpline:
             raise ValueError(
                 f"pieces must have shape (n_knots+1, degree+1) = "
                 f"({k.size + 1}, {d + 1}), got {pc.shape}")
+        if not (np.isfinite(k).all() and np.isfinite(pc).all()):
+            raise ValueError("knots and pieces must be finite")
         object.__setattr__(self, "degree", d)
         object.__setattr__(self, "knots", k)
         object.__setattr__(self, "pieces", pc)

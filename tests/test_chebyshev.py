@@ -1,11 +1,19 @@
 """Tests for the Chebyshev basis utilities."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from chebspike.chebyshev import (ChebPoly, ConstantDualError, arccos_distance,
-                                 cheb_grid, endpoint_weight, eval_phi,
-                                 eval_poly, unit_level_roots)
+from numpy.polynomial import chebyshev as npcheb
+
+from chebspike.blasso import LEVEL_TOL, solve_blasso
+from chebspike.chebyshev import (ChebPoly, ConstantDualError, _polish_abs_maximum,
+                                 arccos_distance, cheb_grid, endpoint_weight,
+                                 eval_phi, eval_poly, merge_close,
+                                 unit_level_roots)
+from chebspike.measures import DiscreteMeasure
+from chebspike.observation import lambda_rice, simulate
 
 SQRT2 = np.sqrt(2.0)
 
@@ -164,3 +172,80 @@ class TestUnitLevelRoots:
             if pts.size:
                 vals = np.abs(eval_poly(p, pts))
                 assert np.all(vals >= lam * (1.0 - 2.0 * tol))
+
+
+def squared_level_roots(p, level, tol, imag_tol=1e-3):
+    """Reference locator: the real roots of level^2 - p^2, one colleague
+    matrix of size 2m, then the same polish, level filter and merge as
+    `unit_level_roots` (which takes the roots of level - p and level + p)."""
+    m = max(p.degree_bound, 1)
+    tc = p.to_chebyshev_t()
+    q = -npcheb.chebmul(tc, tc)
+    q[0] += level * level
+    q = npcheb.chebtrim(q, tol=1e-14 * np.abs(q).max())
+    roots = np.atleast_1d(npcheb.chebroots(q)) if q.size >= 2 else np.array([])
+    real = roots[np.abs(roots.imag) <= imag_tol].real if np.iscomplexobj(roots) \
+        else roots
+    real = real[(real >= -1.0 - 1e-9) & (real <= 1.0 + 1e-9)]
+    candidates = np.concatenate([np.clip(real, -1.0, 1.0), [-1.0, 1.0]])
+    dc1 = npcheb.chebder(tc)
+    dc2 = npcheb.chebder(dc1)
+    polished = np.array([t0 if abs(t0) >= 1.0 else
+                         _polish_abs_maximum(tc, dc1, dc2, t0) for t0 in candidates])
+    keep = np.abs(npcheb.chebval(polished, tc)) >= level * (1.0 - tol)
+    pts = np.sort(polished[keep])
+    if pts.size == 0:
+        return pts
+    return pts[merge_close(pts, np.abs(npcheb.chebval(pts, tc)), 0.5 / m)]
+
+
+@functools.lru_cache(maxsize=None)
+def dual_polynomial(m, seed):
+    """The dual polynomial and lam of a noisy 3-spike solve_blasso run."""
+    rng = np.random.default_rng(seed)
+    theta = np.pi * np.array([0.2, 0.5, 0.8]) + rng.uniform(-0.05, 0.05, 3)
+    x = DiscreteMeasure(np.sort(np.cos(theta)), rng.uniform(0.8, 2.0, 3)
+                        * rng.choice([-1.0, 1.0], 3))
+    sigma = 1e-5
+    lam = lambda_rice(sigma, m, -1, 1.0)
+    sol = solve_blasso(simulate(x, m, -1, sigma, seed), lam)
+    return sol.dual.dual_poly, lam
+
+
+class TestLevelRootsAgainstSquared:
+    """The two degree-m root problems find the points the one degree-2m
+    problem finds."""
+
+    @staticmethod
+    def assert_same(p, lam, tol):
+        got = unit_level_roots(p, lam, tol)
+        ref = squared_level_roots(p, lam, tol)
+        assert got.size == ref.size
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+        return got
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("frac", [0.9, 1.0])
+    def test_random_polynomials(self, sign, frac):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            m = int(rng.integers(4, 41))
+            p = ChebPoly(sign * rng.standard_normal(m + 1))
+            lam = frac * np.abs(eval_poly(p, cheb_grid(4 * m))).max()
+            self.assert_same(p, lam, 1e-3)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("m", [5, 8, 33])
+    def test_scaled_chebyshev_polynomial(self, sign, m):
+        lam = 0.7
+        coeffs = np.zeros(m + 1)
+        coeffs[m] = sign * lam / SQRT2
+        pts = self.assert_same(ChebPoly(coeffs), lam, 1e-4)
+        assert pts.size == m + 1
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("m", [8, 32, 128])
+    def test_dual_polynomials(self, sign, m):
+        p, lam = dual_polynomial(m, seed=m)
+        pts = self.assert_same(ChebPoly(sign * p.coeffs), lam, LEVEL_TOL)
+        assert pts.size >= 1

@@ -193,6 +193,64 @@ class TestConfigErrors:
         code = cli.main(["rice-check", "--config", write_cfg(tmp_path, "c.json", cfg)])
         assert code == cli.EXIT_OK
 
+    @pytest.mark.parametrize("mode, key, value", [
+        ("recover-spikes", "sigma", float("nan")), ("recover-spikes", "sigma", -1e-5),
+        ("recover-spikes", "sigma", float("inf")), ("recover-spikes", "sigma", True),
+        ("recover-spikes", "sigma", None), ("recover-spikes", "lambda", float("nan")),
+        ("recover-spikes", "lambda", -1.0), ("recover-spikes", "lambda", 0.0),
+        ("recover-spikes", "lambda", "0.5"), ("recover-spikes", "eta", float("inf")),
+        ("recover-spikes", "eta", 0.0), ("recover-spline", "sigma0", float("nan")),
+        ("recover-spline", "sigma0", -1e-3), ("recover-spline", "lambda", float("inf")),
+        ("recover-spline", "alpha", -2.0), ("recover-spline", "alpha", float("nan")),
+        ("recover-spline", "eta", -1.0), ("rice-check", "sigma", float("nan")),
+        ("rice-check", "sigma", 0.0), ("rice-check", "eta", -1.0)])
+    def test_bad_real_fields(self, tmp_path, mode, key, value, capsys):
+        # NaN used to run quietly (a noiseless solve, or a rice-check that
+        # passes at threshold NaN), and the other values ended in a
+        # traceback or in a solver error
+        out = tmp_path / "out"
+        cfg = {"m": 8, "out_dir": str(out), "n_trials": 100, key: value}
+        if mode == "recover-spline":
+            cfg["target"] = {"spline": spline_to_dict(demo_spline())}
+        elif mode == "recover-spikes":
+            cfg["target"] = {"measure": measure_to_dict(DiscreteMeasure([0.2], [1.0]))}
+        code = cli.main([mode, "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, target, extra", [
+        ("recover-spikes", {"measure": {"support": [0.2], "weights": [float("nan")]}}, {}),
+        ("recover-spikes", {"measure": {"support": [1.5], "weights": [1.0]}}, {}),
+        ("recover-spikes", {"random_measure": {"min_amplitude": float("nan")}}, {}),
+        ("recover-spline", {"spline": {"degree": 0, "knots": [0.0],
+                                       "pieces": [[0.0], [float("inf")]]}}, {}),
+        ("recover-spline", {"random_spline": {"jump_scale": float("nan")}}, {"d": 1}),
+        ("recover-spline", {"random_spline": {}},
+         {"d": 1, "boundary": [float("nan"), 0.0, 0.0, 0.0]})])
+    def test_bad_target_data(self, tmp_path, mode, target, extra):
+        # each used to end in a traceback (exit 1), or in a solver error
+        # (exit 3) once NaN moments reached the conic solver
+        out = tmp_path / "out"
+        cfg = {"m": 8, "out_dir": str(out), "target": target, **extra}
+        code = cli.main([mode, "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    def test_real_fields_accepted(self, tmp_path):
+        # integer values, a null lambda (calibrated) and sigma 0 (noiseless)
+        cfg = {"m": 8, "out_dir": str(tmp_path / "a"), "sigma": 0, "eta": 2,
+               "lambda": None,
+               "target": {"measure": measure_to_dict(DiscreteMeasure([0.2], [1.0]))}}
+        assert cli.main(["recover-spikes", "--config",
+                         write_cfg(tmp_path, "a.json", cfg)]) == cli.EXIT_OK
+        run = json.loads((tmp_path / "a" / "run.json").read_text())
+        assert run["lam"] == 1e-6 and run["sigma"] == 0.0
+        cfg = {"m": 8, "out_dir": str(tmp_path / "b"), "sigma0": 5e-4, "alpha": 1,
+               "target": {"spline": spline_to_dict(demo_spline())}}
+        assert cli.main(["recover-spline", "--config",
+                         write_cfg(tmp_path, "b.json", cfg)]) == cli.EXIT_OK
+
     def test_integral_float_is_accepted(self, tmp_path):
         out = tmp_path / "out"
         cfg = {"m": 16.0, "n_trials": 150.0, "out_dir": str(out)}

@@ -32,6 +32,13 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure([1.5], [1.0])
 
+    @pytest.mark.parametrize("support, weights", [([np.nan], [1.0]), ([0.2], [np.nan]),
+                                                  ([0.2], [np.inf])])
+    def test_rejects_non_finite(self, support, weights):
+        # NaN passes the domain check and used to reach the moments
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure(support, weights)
+
 
 class TestMoments:
     def test_atom_at_zero(self):

@@ -51,6 +51,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             Observation(np.zeros(4), 0, 3, -1.0)
 
+    @pytest.mark.parametrize("y, sigma", [([0.0, np.nan, 0.0, 0.0], 0.1),
+                                          ([np.inf, 0.0, 0.0, 0.0], 0.1),
+                                          (np.zeros(4), np.nan),
+                                          (np.zeros(4), np.inf)])
+    def test_non_finite_data_rejected(self, y, sigma):
+        # a NaN in y used to reach the conic solver, which refused the
+        # start as not centrosymmetric (NaN != NaN)
+        with pytest.raises(ValueError, match="finite"):
+            Observation(np.array(y), 0, 3, sigma)
+
 
 class TestAssembleFromProjection:
     def test_exact_projection_reproduces_moments(self):

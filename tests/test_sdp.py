@@ -36,6 +36,17 @@ def trig_cone_problem(r1, **start):
                           **{**trig_cone_start(r1), **start})
 
 
+def quadratic_problem(**data):
+    """minimize x^2 over PSD scalar X and free x with X + x = 2, from X = 3,
+    x = -1 and nu = -2: r_d = nu - 2 x = 0 and Z = -nu = 2."""
+    base = {"free_dim": 1, "rhs": np.array([2.0]),
+            "block_entries": [sdp.ToeplitzEntries([0], [1.0])],
+            "start_psd": [np.array([[3.0]])], "start_free": np.array([-1.0]),
+            "start_nu": np.array([-2.0]), "free_coeffs": np.array([[1.0]]),
+            "quad": np.array([[2.0]]), "lin": np.array([0.0])}
+    return sdp.SdpProblem(**{**base, **data})
+
+
 class TestBasicSolves:
     def test_pinned_psd_scalar(self):
         sol = sdp.solve(pinned_psd_scalar())
@@ -119,16 +130,17 @@ class TestValidation:
             sdp.SdpProblem(free_dim=1, rhs=np.zeros(0), block_entries=[],
                            quad=np.array([[2.0]]), **NO_START)
 
+    @pytest.mark.parametrize("key", ["rhs", "free_coeffs", "quad", "lin",
+                                     "start_psd", "start_free", "start_nu"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, key, bad):
+        value = ([np.array([[bad]])] if key == "start_psd"
+                 else np.full_like(getattr(quadratic_problem(), key), bad))
+        with pytest.raises(sdp.SdpError, match=f"{key} has non-finite"):
+            quadratic_problem(**{key: value})
+
     def test_quadratic_objective_with_constraint(self):
-        # minimize x^2 with PSD scalar X and constraint X + x = 2, from
-        # X = 3, x = -1 and nu = -2: r_d = nu - 2 x = 0 and Z = -nu = 2
-        prob = sdp.SdpProblem(free_dim=1, rhs=np.array([2.0]),
-                              block_entries=[sdp.ToeplitzEntries([0], [1.0])],
-                              start_psd=[np.array([[3.0]])],
-                              start_free=np.array([-1.0]), start_nu=np.array([-2.0]),
-                              free_coeffs=np.array([[1.0]]),
-                              quad=np.array([[2.0]]))
-        sol = sdp.solve(prob)
+        sol = sdp.solve(quadratic_problem())
         assert sol.status == sdp.SdpStatus.SOLVED
         # optimum is x = 0, X = 2
         assert sol.free_vector[0] == pytest.approx(0.0, abs=1e-6)
@@ -364,6 +376,26 @@ class TestNumericalFloor:
         assert sol.iteration_log[-1]["stop"] == "non-finite Schur complement"
         assert all("stop" not in row for row in sol.iteration_log[:-1])
         # the best iterate is the last one: feasible, its gap above tol
+        assert sol.status == sdp.SdpStatus.MAX_ITER
+        assert sol.gap == sol.iteration_log[-1]["gap"] > 1e-9
+
+    def test_zero_pivot_ends_with_status(self, monkeypatch):
+        # a zero Schur complement from the third iteration on makes the KKT
+        # matrix exactly singular: the factorization must not raise, and
+        # the non-finite direction ends the solve
+        real = sdp._ToeplitzBlock.schur
+        calls = []
+
+        def zeroed(self, W):
+            calls.append(None)
+            act, H = real(self, W)
+            return act, (H if len(calls) < 3 else np.zeros_like(H))
+
+        monkeypatch.setattr(sdp._ToeplitzBlock, "schur", zeroed)
+        sol = sdp.solve(trig_cone_problem(0.45), tol=1e-9)
+        assert sol.iterations == 3
+        assert sol.iteration_log[-1]["stop"] == "non-finite direction"
+        assert all("stop" not in row for row in sol.iteration_log[:-1])
         assert sol.status == sdp.SdpStatus.MAX_ITER
         assert sol.gap == sol.iteration_log[-1]["gap"] > 1e-9
 

@@ -20,6 +20,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NonUniformSpline(0, [0.5, -0.5], [[0.0], [1.0], [2.0]])
 
+    @pytest.mark.parametrize("knots, pieces", [([np.nan], [[0.0], [0.0]]),
+                                               ([0.0], [[0.0], [np.nan]])])
+    def test_rejects_non_finite(self, knots, pieces):
+        # NaN passes the ordering, domain and continuity checks
+        with pytest.raises(ValueError, match="finite"):
+            NonUniformSpline(0, knots, pieces)
+
     def test_rejects_smoothness_violation(self):
         # two linear pieces with a value jump is not C^0
         with pytest.raises(ValueError):
