@@ -12,8 +12,7 @@ from .splines import (NonUniformSpline, boundary_vector,
 from .observation import (Observation, assemble_y_from_projection,
                           lambda_algorithm, lambda_rice, rice_tail_bound,
                           scaled_sigma, simulate, theta_of_polynomial)
-from .sdp import (SdpProblem, SdpSolution, SdpStatus, ToeplitzEntries,
-                  solve as solve_sdp)
+from .sdp import SdpProblem, SdpSolution, SdpStatus, solve as solve_sdp
 from .blasso import (DualSolution, PrimalSolution, assemble_dual_sdp,
                      fit_weights, solve_blasso, verify_first_order)
 from .certificates import (Certificate, SymmetrizedSupport, build_certificate,

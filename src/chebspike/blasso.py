@@ -97,15 +97,9 @@ class BlassoOptions:
 
 
 def assemble_dual_sdp(obs: Observation, lam: float) -> sdp.SdpProblem:
-    """Conic form of the dual program.
+    """The dual program (`sdp.SdpProblem`) of the observation at lam, with
+    the strictly feasible start the solve begins from.
 
-    Free block: alpha in R^(m+1) with objective <alpha, y> plus half the
-    squared norm of the noisy-order coefficients.  Two PSD blocks of size
-    (m+1) enforce lam +- sum alpha_k phi_k >= 0: writing the cosine
-    coefficients r0 = lam +- alpha_0, r_k = +- alpha_k / sqrt(2), each r_k
-    must equal the k-th subdiagonal sum of a PSD Gram matrix.
-
-    The problem carries the strictly feasible start the solve begins from.
     Primal: both Gram matrices (lam/n) I and alpha = 0, so the trace rows
     read lam and every subdiagonal row 0.  Dual: nu = -U e_0 on block 0, and
     on block 1 the solution of F' nu = y, so that Z_0 = U I and
@@ -113,37 +107,17 @@ def assemble_dual_sdp(obs: Observation, lam: float) -> sdp.SdpProblem:
     (y_0, y_k / sqrt(2)).  U is 1 plus a Gershgorin bound of T(y), so
     Z_1 - I is positive semidefinite.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    m, d = obs.m, obs.d
-    n = m + 1
-    block1 = sdp.ToeplitzEntries(np.arange(n), np.ones(n))
-    block2 = sdp.ToeplitzEntries(np.arange(n, 2 * n), np.ones(n))
-
-    scale = np.full(n, 1.0 / np.sqrt(2.0))
-    scale[0] = 1.0
-    F = np.zeros((2 * n, n))
-    F[np.arange(n), np.arange(n)] = -scale
-    F[np.arange(n, 2 * n), np.arange(n)] = scale
-
-    h = np.zeros(2 * n)
-    h[0] = lam
-    h[n] = lam
-
-    quad = np.zeros((n, n))
-    quad[np.arange(d + 1, n), np.arange(d + 1, n)] = 1.0
-
+    n = obs.m + 1
     # each row of |T(y)| holds |y_0| once and each |y_k| / sqrt(2) at most
     # twice: the Gershgorin bound
     U = 1.0 + abs(obs.y[0]) + np.sqrt(2.0) * np.abs(obs.y[1:]).sum()
     nu = np.zeros(2 * n)
     nu[0] = -U
-    nu[n:] = obs.y / scale
+    nu[n:] = obs.y / sdp.trace_scale(n)
     nu[n] -= U
-    return sdp.SdpProblem(free_dim=n, rhs=h, block_entries=[block1, block2],
+    return sdp.SdpProblem(lam=lam, y=obs.y.copy(), d=obs.d,
                           start_psd=[np.eye(n) * (lam / n)] * 2,
-                          start_free=np.zeros(n), start_nu=nu,
-                          free_coeffs=F, quad=quad, lin=obs.y.copy())
+                          start_free=np.zeros(n), start_nu=nu)
 
 
 def fit_weights(support, obs: Observation, lam: float, signs):

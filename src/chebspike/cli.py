@@ -52,6 +52,20 @@ class ConfigError(Exception):
     pass
 
 
+# the config keys each mode reads besides 'mode', 'seed' and 'out_dir'; any
+# other key is a config error (`_check_keys`)
+SOLVER_KEYS = ("sdp_tol", "sdp_max_iter", "amplitude_floor")
+MODE_KEYS = {
+    "recover-spikes": ("m", "d", "sigma", "eta", "lambda", "prediction_trials",
+                       "target") + SOLVER_KEYS,
+    "recover-spline": ("m", "d", "sigma0", "eta", "alpha", "lambda",
+                       "profile_points", "boundary", "target") + SOLVER_KEYS,
+    "certificate": ("m", "grid_size", "n_points", "support", "support_file"),
+    "rice-check": ("m", "d", "n_trials", "grid_factor", "sigma", "eta"),
+    "sweep": ("axis", "values", "base"),
+}
+
+
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -118,6 +132,36 @@ def _real_field(cfg: dict, key: str, positive: bool,
         raise ConfigError(f"config field '{key}' must be a finite number "
                           f"{bound}, got {val!r}")
     return float(val)
+
+
+def _real_list(val, what: str, bound: float = np.inf) -> np.ndarray:
+    """`val` as a nonempty list of finite numbers of magnitude at most
+    `bound`; bools and strings are not numbers."""
+    if not (isinstance(val, list) and val
+            and all(type(v) in (int, float) and np.isfinite(v) and abs(v) <= bound
+                    for v in val)):
+        span = "" if bound == np.inf else f" in [-{bound:g}, {bound:g}]"
+        raise ConfigError(f"{what} must be a nonempty list of finite numbers"
+                          f"{span}, got {val!r}")
+    return np.array(val, dtype=float)
+
+
+def _check_keys(cfg: dict, mode: str) -> None:
+    """Reject every key of `cfg` that `mode` does not read (MODE_KEYS)."""
+    for key in cfg:
+        if key in ("mode", "seed", "out_dir") + MODE_KEYS[mode]:
+            continue
+        if key in ("level_tol", "sign_threshold", "interior_support"):
+            raise ConfigError(f"'{key}' is not a config field: it is fixed "
+                              f"by the solver or by the mode")
+        if mode == "recover-spikes" and key == "sigma0":
+            raise ConfigError("recover-spikes takes the moment noise level "
+                              "'sigma'; 'sigma0' applies to recover-spline only")
+        if mode == "sweep" and (key in MODE_KEYS["recover-spline"]
+                                or key in MODE_KEYS["recover-spikes"]):
+            raise ConfigError(f"sweep does not read a top-level {key!r} "
+                              f"(flag or config key); set it in 'base'")
+        raise ConfigError(f"{mode} does not read config field '{key}'")
 
 
 def _lambda_field(cfg: dict, calibrated: float) -> float:
@@ -203,9 +247,7 @@ def _spline_from_target(cfg: dict, rng) -> NonUniformSpline:
 
 
 def run_recover_spikes(cfg: dict) -> dict:
-    if "sigma0" in cfg:
-        raise ConfigError("recover-spikes takes the moment noise level "
-                          "'sigma'; 'sigma0' applies to recover-spline only")
+    _check_keys(cfg, "recover-spikes")
     opts = _blasso_opts(cfg)
     d = _int_field(cfg, "d", -1, minimum=-1)
     m = _int_field(cfg, "m", minimum=max(1, d + 1))
@@ -245,10 +287,6 @@ def run_recover_spikes(cfg: dict) -> dict:
 def _blasso_opts(cfg: dict, interior_support: bool = False) -> BlassoOptions:
     """Solver options from the config; the mode decides `interior_support`,
     and the level-set thresholds are fixed."""
-    for key in ("level_tol", "sign_threshold", "interior_support"):
-        if key in cfg:
-            raise ConfigError(f"'{key}' is not a config field: it is fixed "
-                              f"by the solver or by the mode")
     kw = {}
     if "sdp_tol" in cfg:
         kw["sdp_tol"] = _real_field(cfg, "sdp_tol", positive=True)
@@ -261,6 +299,7 @@ def _blasso_opts(cfg: dict, interior_support: bool = False) -> BlassoOptions:
 
 
 def run_recover_spline(cfg: dict) -> dict:
+    _check_keys(cfg, "recover-spline")
     profile_points = _int_field(cfg, "profile_points", 1024, minimum=2)
     opts = _blasso_opts(cfg, interior_support=True)
     seed = cfg.get("seed", 0)
@@ -274,14 +313,11 @@ def run_recover_spline(cfg: dict) -> dict:
         raise ConfigError(f"need m > d, got m={m}, d={d}")
     b = boundary_vector(f)
     if "boundary" in cfg:
-        b_cfg = np.asarray(cfg["boundary"], dtype=float)
-        if b_cfg.shape != (2 * (d + 1),):
+        b = _real_list(cfg["boundary"], "boundary")
+        if b.size != 2 * (d + 1):
             raise ConfigError(
                 f"boundary must have length 2(d+1) = {2 * (d + 1)}, "
-                f"got {b_cfg.size}")
-        if not np.isfinite(b_cfg).all():
-            raise ConfigError("boundary must be finite")
-        b = b_cfg
+                f"got {b.size}")
     sigma0 = _real_field(cfg, "sigma0", positive=False, default=0.0)
     sigma = scaled_sigma(sigma0, m, d) if sigma0 > 0 else 0.0
     eta = _real_field(cfg, "eta", positive=True, default=1.0)
@@ -326,22 +362,32 @@ def run_recover_spline(cfg: dict) -> dict:
 
 
 def run_certificate(cfg: dict) -> dict:
+    _check_keys(cfg, "certificate")
     m = _int_field(cfg, "m", minimum=1)
+    if m % 2:
+        raise ConfigError(f"the certificates need even m, got m={m}")
     # verify_certificate needs at least 10 grid points per order
     grid_size = _int_field(cfg, "grid_size", 10_000, minimum=10 * m)
-    out = _out_dir(cfg)
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
     if "support" in cfg:
-        support = np.asarray(cfg["support"], dtype=float)
+        support = _real_list(cfg["support"], "support", bound=1.0)
     elif "support_file" in cfg:
         path = Path(cfg["support_file"])
         if not path.exists():
             raise ConfigError(f"support file {path} does not exist")
-        support = np.asarray(json.loads(path.read_text()), dtype=float)
+        try:
+            points = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"support file is not valid JSON: {exc}") from exc
+        support = _real_list(points, "support file", bound=1.0)
     else:
         support = random_separated_support(
             rng, _int_field(cfg, "n_points", 3, minimum=1), m)
+    if not separation_ok(support, m):
+        raise ConfigError(f"support does not satisfy the separation "
+                          f"condition at m={m}")
+    out = _out_dir(cfg)
     anchors = []
     worst = np.inf
     interp = 0.0
@@ -398,6 +444,7 @@ def rice_exceedance(m: int, d: int, sigma: float, eta: float, n_trials: int,
 
 
 def run_rice_check(cfg: dict) -> dict:
+    _check_keys(cfg, "rice-check")
     n_trials = _int_field(cfg, "n_trials", 10_000, minimum=100)
     d = _int_field(cfg, "d", -1, minimum=-1)
     m = _int_field(cfg, "m", minimum=max(1, d + 1))
@@ -416,15 +463,13 @@ def run_rice_check(cfg: dict) -> dict:
 
 
 def run_sweep(cfg: dict) -> dict:
-    for key in ("lambda", "sigma0", "eta"):
-        if key in cfg:
-            raise ConfigError(f"sweep does not read a top-level {key!r} "
-                              f"(flag or config key); set it in 'base'")
-    out = _out_dir(cfg)
+    _check_keys(cfg, "sweep")
     axis = _require(cfg, "axis", str)
     if axis not in ("sigma0", "m", "lambda"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     values = _require(cfg, "values", list)
+    if values:
+        _real_list(values, "values")
     base = dict(_require(cfg, "base", dict))
     mode = base.get("mode", "recover-spline")
     if mode not in ("recover-spline", "recover-spikes"):
@@ -432,6 +477,8 @@ def run_sweep(cfg: dict) -> dict:
     if mode == "recover-spikes" and (axis == "sigma0" or "sigma0" in base):
         raise ConfigError("a recover-spikes sweep cannot set 'sigma0'; "
                           "it applies to recover-spline only")
+    _check_keys(base, mode)
+    out = _out_dir(cfg)
     seed = cfg.get("seed", 0)
     rows = []
     for idx, value in enumerate(values):

@@ -1,18 +1,24 @@
-"""Dense conic solver for the trace-parameterized dual programs of this
-package: PSD Toeplitz-constrained blocks, a free vector block, linear
-equality constraints, and a convex quadratic objective.
+"""Dense conic solver for the dual program of the TV-regularized fit
+(`blasso`): two PSD Gram blocks in trace form, a free coefficient vector
+and a convex quadratic objective.
 
-Problem form::
+Problem form, with n = m + 1 moments y, orders 0..d exact and lam > 0::
 
-    minimize    (1/2) x' Q x + q' x
-    subject to  sum_b <A_rb, X_b> + (F x)_r = h_r,    r = 0 .. p-1
-                X_b positive semidefinite
+    minimize    y' x + (1/2) sum_{k>d} x_k^2
+    subject to  A(X_0) - S x = lam e_0
+                A(X_1) + S x = lam e_0
+                X_0, X_1  n x n positive semidefinite
 
-Every PSD block is given as `ToeplitzEntries` (rows, v): constraint rows[k]
-reads v[k] times the k-th subdiagonal sum of X_b, the trace parameterization
-of a nonnegative cosine polynomial.  So A_rb = v[k] (E_k + E_-k) / 2 for
-r = rows[k], with E_d the matrix of ones where row - column = d, and A_rb = 0
-on the rows the block does not touch.  This is the only block form.
+A(X)_k is the sum of the k-th subdiagonal of X (k = 0 .. n-1, the trace for
+k = 0), that is <A_k, X> with A_k = (E_k + E_-k) / 2 and E_d the matrix of
+ones where row - column = d, and S = diag(1, 1/sqrt(2), ..., 1/sqrt(2)).
+Block b states that lam -+ sum_k x_k phi_k is a nonnegative cosine
+polynomial with Gram matrix X_b (the trace parameterization), so together
+|sum_k x_k phi_k| <= lam on [-1, 1].  Stacked, the 2n equality rows read
+A(X) + F x = h with h = lam (e_0 + e_n) and F = [-S; S], and the objective
+is (1/2) x' Q x + q' x with q = y and Q the 0/1 diagonal of the noisy
+orders.  `SdpProblem` holds lam, y, d and the start, and derives h, F and Q
+once.
 
 The solver is a Nesterov-Todd scaled primal-dual path-following method with
 a Mehrotra predictor-corrector step.  Each Newton system is reduced to a
@@ -27,9 +33,9 @@ dimensions up to a few hundred.
 
 The solve starts from a strictly feasible primal-dual point that comes with
 the problem (`SdpProblem.start_psd`, `start_free`, `start_nu`): X_b and
-Z_b = -A_b*(nu) positive definite, r_p and r_d zero up to roundoff.  The
-trace-parameterized programs of this package always have one in closed form
-(`blasso.assemble_dual_sdp`).  X and x move with the same primal step
+Z_b = -A*(nu_b) positive definite, nu_b the multipliers of block b's rows,
+and r_p and r_d zero up to roundoff.  The program always has one in closed
+form (`blasso.assemble_dual_sdp`).  X and x move with the same primal step
 length, so r_p stays at roundoff on every iterate and the solver needs no
 infeasibility status or phase-one work (Vandenberghe & Boyd, SIAM Review
 1996, sections 6-7).  r_d does not stay there: x moves with the primal step
@@ -41,7 +47,7 @@ exchange matrix), so each block is carried as its halves on the even vectors
 (e_i + e_{n-1-i})/sqrt(2), plus e_mid for odd n, and on the odd vectors
 (e_i - e_{n-1-i})/sqrt(2): sizes ceil(n/2) and floor(n/2).  This symmetry
 reduction (Gatermann & Parrilo, J. Pure Appl. Algebra 2004) is exact here:
-every A_rb is symmetric Toeplitz and commutes with J, the start is checked to
+every A_k is symmetric Toeplitz and commutes with J, the start is checked to
 be centrosymmetric, and the NT scaling, Z^-1, W r_c W and the corrector term
 are equivariant under M -> J M J.  The NT scalings, step lengths and updates
 run per half, about a quarter of the dense work of a full block; apply,
@@ -54,22 +60,24 @@ nu of the equalities)::
 
     r_p   = h - A(X) - F x
     r_d   = F' nu - Q x - q
-    r_c,b = -A_b*(nu) - Z_b
-    mu    = sum_b <X_b, Z_b> / sum_b n_b
+    r_c,b = -A*(nu_b) - Z_b
+    mu    = (<X_0, Z_0> + <X_1, Z_1>) / 2n
 
 and the NT-scaled Newton step eliminates (dX, dZ) through
 
-    dZ_b = r_c,b - A_b*(dnu)
+    dZ_b = r_c,b - A*(dnu_b)
     dX_b + W_b dZ_b W_b = sigma mu Z_b^{-1} - X_b  (- corrector term),
 
 leaving the symmetric quasi-definite system
 
-    [ H   F ] [dnu]   [ r_p - A(D) ]        H[r,l] = sum_b tr(A_rb W_b A_lb W_b)
-    [ F'  -Q ] [dx ] = [ -r_d      ],       D_b = rhs of the dX relation above.
+    [ H   F ] [dnu]   [ r_p - A(D) ]        H = diag(H_0, H_1),
+    [ F'  -Q ] [dx ] = [ -r_d      ],       H_b[k, l] = tr(A_k W_b A_l W_b),
 
-Each step writes H into the matrix on the left, whose F and -Q parts are
-set once per solve, and factors it by one unregularized LU; an exactly zero
-pivot makes the direction non-finite, which ends the solve as below.
+with D_b the right-hand side of the dX relation above.  Each step writes
+H_0 and H_1 into the diagonal blocks of the matrix on the left, whose F and
+-Q parts are set once per solve, and factors it by one unregularized LU; an
+exactly zero pivot makes the direction non-finite, which ends the solve as
+below.
 
 While the complementarity gap and residuals generally decrease monotonically,
 a step that would increase the combined merit (relative gap plus relative
@@ -99,113 +107,73 @@ class SdpStatus(Enum):
 
 
 class SdpError(Exception):
-    """Structural problem with the conic program or a failed solve."""
+    """Malformed program data or start, or a failed solve."""
 
 
-class ToeplitzEntries:
-    """Constraint data of an n x n PSD block in trace form, n = len(rows):
-    row rows[k] gains coeffs[k] times the sum of the k-th subdiagonal of
-    X_b, k = 0 .. n-1."""
-
-    def __init__(self, rows, coeffs):
-        self.rows = np.atleast_1d(np.asarray(rows)).astype(int)
-        self.coeffs = np.atleast_1d(np.asarray(coeffs)).astype(float)
-        if self.rows.shape != self.coeffs.shape or self.rows.ndim != 1:
-            raise SdpError("Toeplitz rows and coeffs must be equal-length vectors")
-        if self.rows.size == 0:
-            raise SdpError("a Toeplitz block needs at least one row")
-        if np.unique(self.rows).size != self.rows.size:
-            raise SdpError("Toeplitz constraint rows must be distinct")
+def trace_scale(n: int) -> np.ndarray:
+    """The diagonal of S: 1, then 1/sqrt(2) for orders 1 .. n-1."""
+    s = np.full(n, 1.0 / np.sqrt(2.0))
+    s[0] = 1.0
+    return s
 
 
 @dataclass
 class SdpProblem:
-    """Conic program data.
+    """The dual program of the module docstring: lam > 0, the moments y
+    (length n = m + 1) and the last exact order d, -1 <= d < m.
 
-    block_entries is a nonempty list of ToeplitzEntries, one per PSD block;
-    the block sizes follow from them (`psd_block_dims`).  free_coeffs is the
-    dense (p, free_dim) matrix F, quad the PSD quadratic form on the free
-    block and lin its linear term.
-
-    The solve starts from (start_psd, start_free, start_nu): the PSD blocks
-    X_b, the free vector x and the equality multipliers nu of a strictly
-    feasible primal-dual point.  Each X_b and Z_b = -A_b*(nu) must be
-    positive definite and centrosymmetric, and r_p = h - A(X) - F x and
-    r_d = F' nu - Q x - q must vanish up to roundoff; otherwise SdpError.
+    The solve starts from (start_psd, start_free, start_nu): the Gram blocks
+    [X_0, X_1], the free vector x and the 2n equality multipliers nu of a
+    strictly feasible primal-dual point.  Each X_b and Z_b = -A*(nu_b) must
+    be positive definite and centrosymmetric, and r_p = h - A(X) - F x and
+    r_d = F' nu - Q x - y must vanish up to roundoff; otherwise SdpError.
+    h, F and Q are derived from lam, y and d.
     """
 
-    free_dim: int
-    rhs: np.ndarray
-    block_entries: list
+    lam: float
+    y: np.ndarray
+    d: int
     start_psd: list
     start_free: np.ndarray
     start_nu: np.ndarray
-    free_coeffs: np.ndarray | None = None
-    quad: np.ndarray | None = None
-    lin: np.ndarray | None = None
+    h: np.ndarray = field(init=False, repr=False)
+    F: np.ndarray = field(init=False, repr=False)
+    Q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        h = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        p = h.size
-        entries = list(self.block_entries)
-        if not entries:
-            raise SdpError("at least one PSD block is needed")
-        for ent in entries:
-            if not isinstance(ent, ToeplitzEntries):
-                raise SdpError("PSD blocks must be given as ToeplitzEntries")
-            if ent.rows.min() < 0 or ent.rows.max() >= p:
-                raise SdpError("constraint row index out of range")
-        self.block_entries = entries
-        f = int(self.free_dim)
-        if f < 0:
-            raise SdpError("free dimension must be nonnegative")
-        F = self.free_coeffs
-        F = np.zeros((p, f)) if F is None else np.asarray(F, dtype=float)
-        if F.shape != (p, f):
-            raise SdpError(f"free_coeffs must have shape ({p}, {f})")
-        Q = self.quad
-        Q = np.zeros((f, f)) if Q is None else np.asarray(Q, dtype=float)
-        if Q.shape != (f, f):
-            raise SdpError(f"quad must have shape ({f}, {f})")
-        q = self.lin
-        q = np.zeros(f) if q is None else np.atleast_1d(np.asarray(q, dtype=float))
-        if q.shape != (f,):
-            raise SdpError(f"lin must have shape ({f},)")
-        for name, val in (("rhs", h), ("free_coeffs", F), ("quad", Q), ("lin", q)):
+        y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        lam = float(self.lam)
+        for name, val in (("lam", lam), ("y", y)):
             if not np.all(np.isfinite(val)):
                 raise SdpError(f"{name} has non-finite entries")
-        if p > sum(n * (n + 1) // 2 for n in self.psd_block_dims) + f:
-            raise SdpError("more constraint rows than variable dimensions")
-        object.__setattr__(self, "free_dim", f)
-        object.__setattr__(self, "rhs", h)
-        object.__setattr__(self, "free_coeffs", F)
-        object.__setattr__(self, "quad", Q)
-        object.__setattr__(self, "lin", q)
-        # no constraint row may be entirely empty
-        touched = np.zeros(p, dtype=bool)
-        for ent in entries:
-            touched[ent.rows[ent.coeffs != 0.0]] = True
-        if f:
-            touched |= np.any(F != 0.0, axis=1)
-        if not touched.all():
-            bad = np.nonzero(~touched)[0]
-            raise SdpError(f"constraint rows {bad.tolist()} have no coefficients")
+        if lam <= 0:
+            raise ValueError("lam must be positive")
+        n = y.size
+        if y.ndim != 1 or not (isinstance(self.d, (int, np.integer))
+                               and -1 <= self.d < n - 1):
+            raise SdpError("need a moment vector y and an exact order "
+                           "-1 <= d < y.size - 1")
+        self.lam, self.y = lam, y
+        self.h = np.zeros(2 * n)
+        self.h[0] = self.h[n] = lam
+        s = trace_scale(n)
+        self.F = np.vstack([np.diag(-s), np.diag(s)])
+        self.Q = np.diag((np.arange(n) > self.d).astype(float))
         self._check_start()
 
     def _check_start(self):
         X = [np.asarray(Xb, dtype=float) for Xb in self.start_psd]
         x = np.atleast_1d(np.asarray(self.start_free, dtype=float))
         nu = np.atleast_1d(np.asarray(self.start_nu, dtype=float))
-        dims, p, F, Q, q = (self.psd_block_dims, self.n_constraints,
-                            self.free_coeffs, self.quad, self.lin)
-        if ([Xb.shape for Xb in X] != [(n, n) for n in dims]
-                or x.shape != (self.free_dim,) or nu.shape != (p,)):
+        n = self.y.size
+        if ([Xb.shape for Xb in X] != [(n, n)] * 2 or x.shape != (n,)
+                or nu.shape != (2 * n,)):
             raise SdpError("start shapes do not match the problem")
         for name, vals in (("start_psd", X), ("start_free", [x]), ("start_nu", [nu])):
             if not all(np.isfinite(v).all() for v in vals):
                 raise SdpError(f"{name} has non-finite entries")
-        blocks = [_ToeplitzBlock(ent.rows, ent.coeffs, p) for ent in self.block_entries]
-        for M in X + [-blk.adjoint(nu) for blk in blocks]:
+        blk = _ToeplitzBlock(n)
+        for M in X + [-blk.adjoint(nu[:n]), -blk.adjoint(nu[n:])]:
             if not (np.array_equal(M, M.T) and np.array_equal(M, M[::-1, ::-1])):
                 raise SdpError("start blocks must be symmetric and centrosymmetric")
             try:
@@ -214,29 +182,19 @@ class SdpProblem:
                 raise SdpError("start is not strictly feasible: a block of X "
                                "or Z is not positive definite") from None
         # each residual entry against the sum of the magnitudes of its terms
-        r_p = self.rhs - F @ x - sum(blk.apply(Xb) for blk, Xb in zip(blocks, X))
-        mag_p = (np.abs(self.rhs) + np.abs(F) @ np.abs(x)
-                 + sum(np.abs(blk.apply(np.abs(Xb))) for blk, Xb in zip(blocks, X)))
-        r_d = F.T @ nu - Q @ x - q
-        mag_d = np.abs(F.T) @ np.abs(nu) + np.abs(Q) @ np.abs(x) + np.abs(q)
+        F, Q, y = self.F, self.Q, self.y
+        r_p = self.h - F @ x - np.concatenate([blk.apply(Xb) for Xb in X])
+        mag_p = (np.abs(self.h) + np.abs(F) @ np.abs(x)
+                 + np.concatenate([np.abs(blk.apply(np.abs(Xb))) for Xb in X]))
+        r_d = F.T @ nu - Q @ x - y
+        mag_d = np.abs(F.T) @ np.abs(nu) + Q @ np.abs(x) + np.abs(y)
         if np.any(np.abs(r_p) > 1e-12 * mag_p) or np.any(np.abs(r_d) > 1e-12 * mag_d):
             raise SdpError("start is not feasible: r_p or r_d above roundoff")
-        object.__setattr__(self, "start_psd", X)
-        object.__setattr__(self, "start_free", x)
-        object.__setattr__(self, "start_nu", nu)
-
-    @property
-    def psd_block_dims(self) -> tuple:
-        return tuple(ent.rows.size for ent in self.block_entries)
-
-    @property
-    def n_constraints(self) -> int:
-        return self.rhs.size
+        self.start_psd, self.start_free, self.start_nu = X, x, nu
 
 
 @dataclass
 class SdpSolution:
-    psd_blocks: list
     free_vector: np.ndarray
     objective_value: float
     gap: float
@@ -246,14 +204,13 @@ class SdpSolution:
 
 
 class _ToeplitzBlock:
-    """Compiled ToeplitzEntries: A_k = v_k (E_k + E_-k) / 2, where E_d has
-    ones where row - column = d, so <A_k, X> = v_k * (k-th subdiagonal sum)."""
+    """The trace map of an n x n block: apply(X)_k = <A_k, X>, the k-th
+    subdiagonal sum, with A_k = (E_k + E_-k) / 2 and E_d the ones where
+    row - column = d; adjoint(v) = sum_k v_k A_k; schur(W)[k, l] =
+    tr(A_k W A_l W).  One instance serves both blocks."""
 
-    def __init__(self, rows, coeffs, p: int):
-        n = rows.size
-        self.n, self.p = n, p
-        self.active = rows
-        self.v = coeffs
+    def __init__(self, n: int):
+        self.n = n
         idx = np.arange(n)
         # X.ravel()[a] lies on the diagonal row - column = offset[a] - (n-1)
         self.offset = (idx[:, None] - idx[None, :] + n - 1).ravel()
@@ -264,16 +221,14 @@ class _ToeplitzBlock:
     def apply(self, X: np.ndarray) -> np.ndarray:
         n = self.n
         s = np.bincount(self.offset, weights=X.ravel(), minlength=2 * n - 1)
-        out = np.zeros(self.p)
-        out[self.active] = self.v * 0.5 * (s[n - 1:] + s[n - 1::-1])
-        return out
+        return 0.5 * (s[n - 1:] + s[n - 1::-1])
 
-    def adjoint(self, nu: np.ndarray) -> np.ndarray:
-        t = 0.5 * self.v * nu[self.active]
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        t = 0.5 * v
         t[0] *= 2.0
         return sla.toeplitz(t)
 
-    def schur(self, W: np.ndarray) -> tuple:
+    def schur(self, W: np.ndarray) -> np.ndarray:
         """tr(E_d W E_e W) = c[d, -e] with c the 2-D autocorrelation of W;
         c[-d, -e] = c[d, e] folds the four terms of each A_k, A_l pair."""
         n, L = self.n, self.fft_len
@@ -281,8 +236,7 @@ class _ToeplitzBlock:
         # row transforms run over those n rows only
         F = sfft.fft(sfft.rfft(W, n=L, axis=1), n=L, axis=0)
         c = sfft.irfft(sfft.ifft(F.real ** 2 + F.imag ** 2, axis=0)[:n], n=L, axis=1)
-        H = 0.5 * (c[:, :n] + c[:, self.neg])
-        return self.active, self.v[:, None] * H * self.v[None, :]
+        return 0.5 * (c[:, :n] + c[:, self.neg])
 
 
 def _nt_scaling(X: np.ndarray, Z: np.ndarray):
@@ -368,7 +322,7 @@ def _join(halves: list) -> np.ndarray:
 
 
 def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSolution:
-    """Solve the conic program to relative accuracy `tol`.
+    """Solve the program to relative accuracy `tol`.
 
     The solve starts from the problem's strictly feasible point, mapped to
     the scaled coordinates.  Returns SOLVED when the relative equality
@@ -380,70 +334,60 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    dims = prob.psd_block_dims
-    p, f = prob.n_constraints, prob.free_dim
-    N = sum(dims)
+    n = prob.y.size
+    p = 2 * n
+    blk = _ToeplitzBlock(n)
 
-    # --- scaling: per-row equilibration, then a global variable scale so the
-    # scaled right-hand side is O(1), then an objective scale.
-    row_scale = np.zeros(p)
-    for ent in prob.block_entries:
-        np.maximum.at(row_scale, ent.rows, np.abs(ent.coeffs))
-    if f:
-        row_scale = np.maximum(row_scale, np.abs(prob.free_coeffs).max(axis=1,
-                                                                       initial=0.0))
-    row_scale[row_scale == 0.0] = 1.0
-    h = prob.rhs / row_scale
-    s_var = float(np.abs(h).max())
-    s_var = s_var if s_var > 0 else 1.0
-    h = h / s_var
-    F = prob.free_coeffs / row_scale[:, None] if f else prob.free_coeffs
-    s_obj = max(float(np.abs(prob.lin).max(initial=0.0)),
-                s_var * float(np.abs(prob.quad).max(initial=0.0)), 1e-30)
-    if s_obj == 1e-30:
-        s_obj = 1.0
-    Q = prob.quad * (s_var / s_obj)
-    q = prob.lin / s_obj
+    # --- scaling: a variable scale so that the scaled right-hand side is
+    # O(1), then an objective scale.  s_obj >= lam > 0, as order m is noisy.
+    s_var = prob.lam
+    h = prob.h / s_var
+    F = prob.F
+    s_obj = max(float(np.abs(prob.y).max()), s_var)
+    Q = prob.Q * (s_var / s_obj)
+    q = prob.y / s_obj
 
-    blocks = [_ToeplitzBlock(ent.rows, ent.coeffs / row_scale[ent.rows], p)
-              for ent in prob.block_entries]
+    def A(full):
+        """A(X) of both blocks, stacked as the 2n equality rows."""
+        return np.concatenate([blk.apply(Xb) for Xb in full])
+
+    def A_adj(v):
+        """A*(v_b) of each block's rows."""
+        return [blk.adjoint(v[:n]), blk.adjoint(v[n:])]
 
     # every iterate is centrosymmetric (see the module docstring), so each
-    # block is carried as its `_split` halves: X, Z are flat lists of all
-    # blocks' halves, and block b's halves are X[spans[b]]
-    ends = np.cumsum([min(n, 2) for n in dims])
-    spans = [slice(e - min(n, 2), e) for e, n in zip(ends, dims)]
+    # block is carried as its k `_split` halves: X, Z list both blocks'
+    # halves, block 0's first
+    k = min(n, 2)
 
     def split(full):
         return [Mh for M in full for Mh in _split(M)]
 
     def join(halves):
-        return [_join(halves[s]) for s in spans]
+        return [_join(halves[:k]), _join(halves[k:])]
 
-    # the start in the scaled coordinates: X, x over s_var, and nu times
-    # row_scale / s_obj, which makes Z_b = -A_b*(nu) the original Z_b / s_obj
+    # the start in the scaled coordinates: X, x over s_var, and nu over
+    # s_obj, which makes Z_b = -A*(nu_b) the original Z_b / s_obj
     X = split([Xb / s_var for Xb in prob.start_psd])
     x = prob.start_free / s_var
-    nu = prob.start_nu * row_scale / s_obj
-    Z = split([-blk.adjoint(nu) for blk in blocks])
+    nu = prob.start_nu / s_obj
+    Z = split([-a for a in A_adj(nu)])
 
     def measures(X, Z, x, nu):
         """Residuals, complementarity and relative measures of an iterate;
         r_c is returned as halves, its measure taken on the full blocks."""
-        r_p = h - F @ x if f else h.copy()
-        for blk, Xb in zip(blocks, join(X)):
-            r_p -= blk.apply(Xb)
-        r_d = (F.T @ nu - Q @ x - q) if f else np.zeros(0)
+        r_p = h - F @ x - A(join(X))
+        r_d = F.T @ nu - Q @ x - q
         Zf = join(Z)
-        r_c = [-blk.adjoint(nu) - Zb for blk, Zb in zip(blocks, Zf)]
+        r_c = [-a - Zb for a, Zb in zip(A_adj(nu), Zf)]
         gap = sum(float(np.tensordot(Xh, Zh)) for Xh, Zh in zip(X, Z))
-        xQx = 0.5 * x @ Q @ x if f else 0.0
-        pobj = xQx + q @ x if f else 0.0
+        xQx = 0.5 * x @ Q @ x
+        pobj = xQx + q @ x
         dobj = h @ nu - xQx
         rel = {"pobj": pobj, "dobj": dobj,
                "gap": gap / (1.0 + abs(pobj) + abs(dobj)),
                "rp": np.abs(r_p).max() / (1.0 + np.abs(h).max()),
-               "rd": np.abs(r_d).max() / (1.0 + np.abs(q).max()) if f else 0.0,
+               "rd": np.abs(r_d).max() / (1.0 + np.abs(q).max()),
                "rc": max(np.abs(rc).max() / (1.0 + np.abs(Zb).max())
                          for rc, Zb in zip(r_c, Zf))}
         rel["all"] = max(rel["rp"], rel["rd"], rel["rc"], abs(rel["gap"]))
@@ -451,28 +395,28 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         rel["merit"] = rel["gap"] + rel["rp"] + rel["rd"]
         return r_p, r_d, split(r_c), gap, rel
 
-    # the KKT matrix [[H, F], [F', -Q]]; each step rewrites only H
-    K = np.zeros((p + f, p + f))
+    # the KKT matrix [[H, F], [F', -Q]]; each step rewrites only the
+    # diagonal blocks H_0, H_1 of H
+    K = np.zeros((p + n, p + n))
     K[:p, p:], K[p:, :p], K[p:, p:] = F, F.T, -Q
 
     log = []
     it = 0
     best_rel = {"all": np.inf}
-    best_point = None
+    best_x = None
     gamma = 0.99
     meas = measures(X, Z, x, nu)
 
     for it in range(1, max_iter + 1):
         r_p, r_d, r_c, gap, rel = meas
-        mu = gap / N
+        mu = gap / p
         log.append({"iter": it - 1, "pobj": s_obj * s_var * rel["pobj"],
                     "dobj": s_obj * s_var * rel["dobj"], "gap": rel["gap"],
                     "rp": rel["rp"], "rd": rel["rd"], "rc": rel["rc"],
                     "ap": 0.0, "ad": 0.0, "halvings": 0})
         if rel["all"] < best_rel["all"]:
             best_rel = rel
-            best_point = ([Xh.copy() for Xh in X], [Zh.copy() for Zh in Z],
-                          x.copy(), nu.copy())
+            best_x = x.copy()
         if rel["all"] <= tol:
             break
         if gap <= 0.0 or mu < 1e-17 * (1.0 + abs(rel["pobj"])):
@@ -482,15 +426,13 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
         # NT scalings per half, Schur complement per full block
         scal = [_nt_scaling(Xh, Zh) for Xh, Zh in zip(X, Z)]
-        H = np.zeros((p, p))
-        for blk, W in zip(blocks, join([sc[2] for sc in scal])):
-            act, Hb = blk.schur(W)
-            H[np.ix_(act, act)] += Hb
-        if not np.all(np.isfinite(H)):
+        for b, W in enumerate(join([sc[2] for sc in scal])):
+            Hb = blk.schur(W)
+            K[b * n:(b + 1) * n, b * n:(b + 1) * n] = 0.5 * (Hb + Hb.T)
+        if not np.all(np.isfinite(K[:p, :p])):
             # overflow on a diverging run; classify from the best iterate
             log[-1]["stop"] = "non-finite Schur complement"
             break
-        K[:p, :p] = 0.5 * (H + H.T)
         # the data are finite (SdpProblem) and so is H; a zero pivot is
         # caught below as a non-finite direction
         with warnings.catch_warnings():
@@ -507,15 +449,12 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             D = [sigma_mu * Zi - Xh - wrw for Zi, Xh, wrw in zip(Zinv, X, WrW)]
             if corr is not None:
                 D = [Dh - ch for Dh, ch in zip(D, corr)]
-            g1 = r_p.copy()
-            for blk, Db in zip(blocks, join(D)):
-                g1 -= blk.apply(Db)
-            rhs = np.concatenate([g1, -r_d]) if f else g1
+            rhs = np.concatenate([r_p - A(join(D)), -r_d])
             sol = _kkt_solve(lu, K, rhs)
             if not np.all(np.isfinite(sol)):
                 return None
             dnu, dx = sol[:p], sol[p:]
-            Adnu = split([blk.adjoint(dnu) for blk in blocks])
+            Adnu = split(A_adj(dnu))
             dZ = [rc - a for rc, a in zip(r_c, Adnu)]
             dX = []
             for Dh, a, (R, Rinv, W, sv) in zip(D, Adnu, scal):
@@ -571,22 +510,9 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     # fall back to the best iterate seen if the last one is not the best
     rel = meas[-1]
     if rel["all"] > best_rel["all"]:
-        X, Z, x, nu = best_point
-        rel = best_rel
+        x, rel = best_x, best_rel
     final_gap = rel["all"]
     status = SdpStatus.SOLVED if final_gap <= tol else SdpStatus.MAX_ITER
-
-    # undo the scaling and clip roundoff negatives, per half so that the
-    # returned blocks stay exactly centrosymmetric
-    out_halves = []
-    for Xh in X:
-        M = s_var * 0.5 * (Xh + Xh.T)
-        w, V = np.linalg.eigh(M)
-        if w[0] < 0.0:
-            M = (V * np.maximum(w, 0.0)) @ V.T
-        out_halves.append(M)
-    out_blocks = join(out_halves)
     x_out = s_var * x
-    obj = 0.5 * x_out @ prob.quad @ x_out + prob.lin @ x_out
-    return SdpSolution(out_blocks, x_out, float(obj), float(final_gap), it,
-                       status, log)
+    obj = 0.5 * x_out @ prob.Q @ x_out + prob.y @ x_out
+    return SdpSolution(x_out, float(obj), float(final_gap), it, status, log)

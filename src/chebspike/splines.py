@@ -234,7 +234,12 @@ def spline_from_dict(obj: dict) -> NonUniformSpline:
     for key in ("degree", "knots", "pieces"):
         if key not in obj:
             raise ValueError(f"spline object missing '{key}'")
-    return NonUniformSpline(int(obj["degree"]),
+    degree = obj["degree"]
+    # exactly int or an integral float: int() would truncate 2.5 and
+    # raise TypeError on null
+    if not (type(degree) is int or isinstance(degree, float) and degree.is_integer()):
+        raise ValueError(f"spline degree must be an integer, got {degree!r}")
+    return NonUniformSpline(int(degree),
                             np.asarray(obj["knots"], dtype=float),
                             np.asarray(obj["pieces"], dtype=float))
 

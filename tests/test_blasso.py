@@ -24,32 +24,67 @@ def subdiagonal_sums(X):
     return np.array([np.trace(X, offset=-k) for k in range(X.shape[0])])
 
 
+def dense_rows(X0, X1, alpha, lam):
+    """The dual program's equality rows written out, as residuals: for
+    k = 0 .. m, block 0 reads (k-th subdiagonal sum of X0) - s_k alpha_k =
+    lam [k = 0] and block 1 the same with + s_k alpha_k, s_0 = 1 and
+    s_k = 1/sqrt(2) otherwise: lam -+ sum_k alpha_k phi_k as the cosine
+    polynomial of a Gram matrix."""
+    n = alpha.size
+    s = np.where(np.arange(n) == 0, 1.0, 1.0 / SQRT2)
+    rhs = np.where(np.arange(n) == 0, lam, 0.0)
+    return np.concatenate([subdiagonal_sums(X0) - s * alpha - rhs,
+                           subdiagonal_sums(X1) + s * alpha - rhs])
+
+
+def program_rows(prob, X0, X1, alpha):
+    """The same residuals from the problem's own data, A(X) + F alpha - h."""
+    blk = sdp._ToeplitzBlock(alpha.size)
+    return np.concatenate([blk.apply(X0), blk.apply(X1)]) + prob.F @ alpha - prob.h
+
+
 class TestAssembleDualSdp:
     def test_dimensions(self):
         obs = noiseless_obs(DiscreteMeasure([0.0], [1.0]), 8)
         prob = assemble_dual_sdp(obs, 0.5)
-        assert prob.psd_block_dims == (9, 9)
-        assert prob.free_dim == 9
-        assert prob.n_constraints == 18
+        assert [X.shape for X in prob.start_psd] == [(9, 9), (9, 9)]
+        assert prob.start_free.shape == prob.y.shape == (9,)
+        assert prob.start_nu.shape == prob.h.shape == (18,)
+        assert prob.F.shape == (18, 9) and prob.Q.shape == (9, 9)
+
+    def test_rows_match_dense_statement(self):
+        rng = np.random.default_rng(4)
+        for m, d in [(0, -1), (1, 0), (6, 2), (17, -1)]:
+            n = m + 1
+            obs = Observation(rng.standard_normal(n), d, m, 0.0)
+            prob = assemble_dual_sdp(obs, 0.7)
+            X0, X1 = (S + S.T for S in rng.standard_normal((2, n, n)))
+            alpha = rng.standard_normal(n)
+            np.testing.assert_allclose(program_rows(prob, X0, X1, alpha),
+                                       dense_rows(X0, X1, alpha, 0.7), atol=1e-13)
+            # the objective <alpha, y> + half the squared noisy-order tail
+            assert 0.5 * alpha @ prob.Q @ alpha + prob.y @ alpha == pytest.approx(
+                alpha @ obs.y + 0.5 * alpha[d + 1:] @ alpha[d + 1:], abs=1e-13)
 
     def test_identity_gram_is_feasible_at_zero(self):
-        # alpha = 0 with Q = (lam/(m+1)) I satisfies every constraint row
+        # alpha = 0 with X_b = (lam/(m+1)) I satisfies every constraint row,
+        # and it is the start
         m, lam = 8, 0.7
         obs = Observation(np.zeros(m + 1), -1, m, 0.0)
         prob = assemble_dual_sdp(obs, lam)
-        Q = lam / (m + 1) * np.eye(m + 1)
-        for b, ent in enumerate(prob.block_entries):
-            lhs = np.zeros(prob.n_constraints)
-            lhs[ent.rows] = ent.coeffs * subdiagonal_sums(Q)
-            want = np.zeros(prob.n_constraints)
-            want[0 if b == 0 else m + 1] = lam
-            np.testing.assert_allclose(lhs[ent.rows], want[ent.rows], atol=1e-14)
+        G = lam / (m + 1) * np.eye(m + 1)
+        for X in prob.start_psd:
+            np.testing.assert_array_equal(X, G)
+        np.testing.assert_array_equal(prob.start_free, 0.0)
+        np.testing.assert_allclose(dense_rows(G, G, prob.start_free, lam), 0.0,
+                                   atol=1e-14)
+        np.testing.assert_allclose(program_rows(prob, G, G, prob.start_free), 0.0,
+                                   atol=1e-14)
 
     def test_quadratic_skips_exact_orders(self):
         obs = Observation(np.zeros(7), 2, 6, 0.0)
         prob = assemble_dual_sdp(obs, 1.0)
-        np.testing.assert_array_equal(np.diag(prob.quad),
-                                      [0, 0, 0, 1, 1, 1, 1])
+        np.testing.assert_array_equal(prob.Q, np.diag([0, 0, 0, 1, 1, 1, 1]))
 
     def test_rejects_nonpositive_lam(self):
         obs = Observation(np.zeros(7), -1, 6, 0.0)
@@ -58,17 +93,16 @@ class TestAssembleDualSdp:
 
     def test_constant_polynomial_is_boundary_feasible(self):
         # alpha = lam * e_0 has sup norm exactly lam; the Gram pair
-        # Q1 = (2 lam / (m+1)) I, Q2 = 0 certifies it
+        # X_0 = (2 lam / (m+1)) I, X_1 = 0 certifies it
         m, lam = 6, 0.9
         obs = Observation(np.zeros(m + 1), -1, m, 0.0)
         prob = assemble_dual_sdp(obs, lam)
         alpha = np.zeros(m + 1)
         alpha[0] = lam
-        blocks = [2 * lam / (m + 1) * np.eye(m + 1), np.zeros((m + 1, m + 1))]
-        lhs = prob.free_coeffs @ alpha
-        for blk, ent in zip(blocks, prob.block_entries):
-            lhs[ent.rows] += ent.coeffs * subdiagonal_sums(blk)
-        np.testing.assert_allclose(lhs, prob.rhs, atol=1e-12)
+        X0, X1 = 2 * lam / (m + 1) * np.eye(m + 1), np.zeros((m + 1, m + 1))
+        np.testing.assert_allclose(dense_rows(X0, X1, alpha, lam), 0.0, atol=1e-12)
+        np.testing.assert_allclose(program_rows(prob, X0, X1, alpha), 0.0,
+                                   atol=1e-12)
 
 
 class TestSolveBlasso:

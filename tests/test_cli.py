@@ -209,8 +209,10 @@ class TestConfigErrors:
         # passes at threshold NaN), and the other values ended in a
         # traceback or in a solver error
         out = tmp_path / "out"
-        cfg = {"m": 8, "out_dir": str(out), "n_trials": 100, key: value}
-        if mode == "recover-spline":
+        cfg = {"m": 8, "out_dir": str(out), key: value}
+        if mode == "rice-check":
+            cfg["n_trials"] = 100
+        elif mode == "recover-spline":
             cfg["target"] = {"spline": spline_to_dict(demo_spline())}
         elif mode == "recover-spikes":
             cfg["target"] = {"measure": measure_to_dict(DiscreteMeasure([0.2], [1.0]))}
@@ -236,6 +238,87 @@ class TestConfigErrors:
         code = cli.main([mode, "--config", write_cfg(tmp_path, "c.json", cfg)])
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("cfg", [
+        {"m": 16, "support": [float("nan")]}, {"m": 16, "support": ["x"]},
+        {"m": 16, "support": [[0.1]]}, {"m": 16, "support": [1.5]},
+        {"m": 16, "support": []}, {"m": 16, "support": 0.1},
+        {"m": 16, "support": [0.1, 0.11]}, {"m": 15, "support": [0.1]},
+        {"m": 15}, {"m": 16, "support_file": [float("nan")]},
+        {"m": 16, "support_file": {"support": [0.1]}}])
+    def test_bad_certificate_support(self, tmp_path, cfg, capsys):
+        # each used to end in a traceback (exit 1): NaN in the SVD, the
+        # rest in the certificate build
+        out = tmp_path / "out"
+        if "support_file" in cfg:
+            path = tmp_path / "support.json"
+            path.write_text(json.dumps(cfg["support_file"]))
+            cfg = dict(cfg, support_file=str(path))
+        cfg = dict(cfg, out_dir=str(out))
+        code = cli.main(["certificate", "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, cfg", [
+        ("recover-spline", {"boundary": ["x", 0, 0, 0]}),
+        ("recover-spline", {"target": {"spline": {"degree": None, "knots": [0.0],
+                                                  "pieces": [[0.0], [1.0]]}}}),
+        ("recover-spline", {"target": {"spline": {"degree": 0.5, "knots": [0.0],
+                                                  "pieces": [[0.0], [1.0]]}}}),
+        ("sweep", {"axis": "m", "values": ["x"]}),
+        ("sweep", {"axis": "lambda", "values": [None]})])
+    def test_bad_list_and_structure_fields(self, tmp_path, mode, cfg):
+        # each used to end in a traceback (exit 1), or for degree 0.5 to run
+        # a spline of degree 0
+        out = tmp_path / "out"
+        base = {"m": 8, "target": {"spline": spline_to_dict(demo_spline())}}
+        cfg = dict(base, **cfg) if mode != "sweep" else dict(cfg, base=base)
+        cfg["out_dir"] = str(out)
+        code = cli.main([mode, "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, key", [
+        ("recover-spline", "sdp_tool"), ("recover-spikes", "sdp_tool"),
+        ("recover-spikes", "profile_points"), ("recover-spline", "sigma"),
+        ("rice-check", "n_trial"), ("certificate", "sigma"), ("sweep", "m"),
+        ("sweep", "base.sdp_tool")])
+    def test_unknown_keys(self, tmp_path, mode, key, capsys):
+        # each mode used to ignore keys it does not read and run with its
+        # defaults
+        out = tmp_path / "out"
+        spline = {"m": 8, "target": {"spline": spline_to_dict(demo_spline())}}
+        cfg = {"recover-spline": spline,
+               "recover-spikes": {"m": 8, "target": {"measure": measure_to_dict(
+                   DiscreteMeasure([0.2], [1.0]))}},
+               "rice-check": {"m": 8, "n_trials": 100},
+               "certificate": {"m": 16, "support": [0.1]},
+               "sweep": {"axis": "m", "values": [8], "base": dict(spline)}}[mode]
+        if key.startswith("base."):
+            cfg["base"][key[5:]] = 1e-3
+        else:
+            cfg[key] = 1e-3
+        cfg["out_dir"] = str(out)
+        code = cli.main([mode, "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert f"'{key.removeprefix('base.')}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_benchmark_and_ci_configs_accepted(self):
+        # the keys of the benchmark's recover-spline cases and of the CI
+        # runs; the CLI adds 'mode' and the flags' 'out_dir'
+        target = {"random_spline": {"n_knots": 3}}
+        cli._check_keys({"m": 32, "sigma0": 5e-4, "seed": 1, "out_dir": "o",
+                         "target": target}, "recover-spline")
+        cli._check_keys({"mode": "recover-spline", "m": 32, "d": 2,
+                         "sigma0": 5e-4, "seed": 1, "out_dir": "o",
+                         "target": target}, "recover-spline")
+        cli._check_keys({"mode": "recover-spikes", "m": 128, "sigma": 1e-5,
+                         "seed": 1, "out_dir": "o", "target": target},
+                        "recover-spikes")
+        cli._check_keys({"mode": "certificate", "m": 64, "n_points": 3,
+                         "seed": 1, "out_dir": "o"}, "certificate")
 
     def test_real_fields_accepted(self, tmp_path):
         # integer values, a null lambda (calibrated) and sigma 0 (noiseless)

@@ -1,86 +1,101 @@
 """Tests for the dense conic interior-point solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from chebspike import sdp
+from chebspike.blasso import assemble_dual_sdp
+from chebspike.chebyshev import ChebPoly, eval_poly
+from chebspike.measures import DiscreteMeasure
+from chebspike.observation import Observation, simulate
+
+SQRT2 = np.sqrt(2.0)
 
 
-# for problems that are rejected before their start is checked
-NO_START = {"start_psd": [], "start_free": np.zeros(0), "start_nu": np.zeros(0)}
+def program(y, lam, d=-1):
+    """The dual program of the moments y (m = y.size - 1) at lam."""
+    y = np.asarray(y, dtype=float)
+    return assemble_dual_sdp(Observation(y, d, y.size - 1, 0.0), lam)
 
 
-def pinned_psd_scalar():
-    return sdp.SdpProblem(free_dim=0, rhs=np.array([3.0]),
-                          block_entries=[sdp.ToeplitzEntries([0], [1.0])],
-                          start_psd=[np.array([[3.0]])], start_free=np.zeros(0),
-                          start_nu=np.array([-1.0]))
+def assembled(m, d, scale):
+    """The dual program of a noisy 3-spike observation scaled by `scale`,
+    lam a tenth of the largest |y|: with scale 1e4, the size of the moment
+    vectors of the spline runs."""
+    x = DiscreteMeasure([-0.7, 0.1, 0.6], [scale, -0.6 * scale, 0.8 * scale])
+    obs = simulate(x, m, d, 0.01 * scale, seed=m)
+    return assemble_dual_sdp(obs, 0.1 * np.abs(obs.y).max())
 
 
-def trig_cone_start(r1):
-    """X with diagonal sum 1 and subdiagonal sum r1, positive definite for
-    |r1| < 1/2, and nu = -e_0, so Z = I."""
-    return {"start_psd": [np.array([[0.5, r1], [r1, 0.5]])],
-            "start_free": np.zeros(0), "start_nu": np.array([-1.0, 0.0])}
+ASSEMBLED = [(m, d, scale) for m in (1, 8, 32, 128) for d in (-1, 0, 2)
+             for scale in (1.0, 1e4) if m > d]
 
 
-def trig_cone_problem(r1, **start):
-    """2x2 Gram block with diagonal sum 1 and subdiagonal sum r1; feasible
-    exactly when the cosine polynomial 1 + 2 r1 cos is nonnegative, strictly
-    for |r1| < 1/2, where the default start is strictly feasible."""
-    return sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, r1]),
-                          block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 1.0])],
-                          **{**trig_cone_start(r1), **start})
-
-
-def quadratic_problem(**data):
-    """minimize x^2 over PSD scalar X and free x with X + x = 2, from X = 3,
-    x = -1 and nu = -2: r_d = nu - 2 x = 0 and Z = -nu = 2."""
-    base = {"free_dim": 1, "rhs": np.array([2.0]),
-            "block_entries": [sdp.ToeplitzEntries([0], [1.0])],
-            "start_psd": [np.array([[3.0]])], "start_free": np.array([-1.0]),
-            "start_nu": np.array([-2.0]), "free_coeffs": np.array([[1.0]]),
-            "quad": np.array([[2.0]]), "lin": np.array([0.0])}
-    return sdp.SdpProblem(**{**base, **data})
+def weighted_projection(v, w, r):
+    """argmin ||a - v|| subject to sum_k w_k |a_k| <= r: a soft threshold
+    a = sign(v) max(|v| - t w, 0) with t >= 0 chosen to meet the bound."""
+    def excess(t):
+        return (w * np.maximum(np.abs(v) - t * w, 0.0)).sum() - r
+    if excess(0.0) <= 0.0:
+        return v
+    t = brentq(excess, 0.0, np.max(np.abs(v) / w), xtol=1e-15, rtol=1e-15)
+    return np.sign(v) * np.maximum(np.abs(v) - t * w, 0.0)
 
 
 class TestBasicSolves:
+    """Programs with closed-form optima.  At m = 0 each block is a 1 x 1 PSD
+    scalar pinned by its trace row to lam -+ alpha_0; at m = 1 the blocks
+    are 2 x 2 and |alpha_0 + sqrt(2) alpha_1 t| <= lam on [-1, 1] reads
+    |alpha_0| + sqrt(2) |alpha_1| <= lam."""
+
     def test_pinned_psd_scalar(self):
-        sol = sdp.solve(pinned_psd_scalar())
-        assert sol.status == sdp.SdpStatus.SOLVED
-        assert sol.psd_blocks[0][0, 0] == pytest.approx(3.0, abs=1e-7)
+        # minimize alpha_0 y_0 + alpha_0^2 / 2 over |alpha_0| <= lam
+        for y0, lam in [(0.3, 1.0), (-0.3, 1.0), (2.5, 1.0), (-2.5, 0.5),
+                        (1e4, 1e3), (0.0, 1.0)]:
+            sol = sdp.solve(program([y0], lam), tol=1e-10)
+            assert sol.status == sdp.SdpStatus.SOLVED
+            assert sol.free_vector[0] == pytest.approx(np.clip(-y0, -lam, lam),
+                                                       abs=1e-8 * lam)
 
     def test_feasible_trig_cone(self):
-        sol = sdp.solve(trig_cone_problem(0.4))
-        assert sol.status == sdp.SdpStatus.SOLVED
-        X = sol.psd_blocks[0]
-        assert np.trace(X) == pytest.approx(1.0, abs=1e-7)
-        assert X[1, 0] + X[0, 1] == pytest.approx(2 * 0.4, abs=1e-7)
+        # d = -1: alpha* is the projection of -y onto the weighted l1 ball
+        for y, lam in [((0.3, -0.2), 1.0), ((0.9, 0.6), 1.0), ((-0.2, 2.0), 0.5),
+                       ((3.0, 0.1), 1.0), ((1e4, -5e3), 2e3)]:
+            y = np.array(y)
+            want = weighted_projection(-y, np.array([1.0, SQRT2]), lam)
+            sol = sdp.solve(program(y, lam), tol=1e-10)
+            assert sol.status == sdp.SdpStatus.SOLVED
+            np.testing.assert_allclose(sol.free_vector, want, atol=1e-8 * lam)
 
 
 class TestSolutionInvariants:
     def test_psd_floor_and_residual(self):
-        sol = sdp.solve(trig_cone_problem(0.45), tol=1e-9)
-        for X in sol.psd_blocks:
-            w = np.linalg.eigvalsh(X)
-            assert w.min() >= -1e-8 * (1.0 + np.trace(X))
-        # equality residual
-        X = sol.psd_blocks[0]
-        res = np.array([np.trace(X) - 1.0, X[1, 0] + X[0, 1] - 2 * 0.45])
-        assert np.abs(res).max() <= 1e-9 * (1.0 + 1.0) * 10
+        # X_0, X_1 psd is lam -+ p >= 0 for p = sum_k alpha_k phi_k: the
+        # returned alpha keeps |p| <= lam up to the tolerance, and the last
+        # iterate's residuals are below it
+        prob = assembled(32, 0, 1.0)
+        sol = sdp.solve(prob, tol=1e-9)
+        assert sol.status == sdp.SdpStatus.SOLVED
+        p = eval_poly(ChebPoly(sol.free_vector), np.cos(np.linspace(0, np.pi, 20001)))
+        assert np.abs(p).max() <= prob.lam * (1.0 + 1e-8)
+        last = sol.iteration_log[-1]
+        assert max(last["rp"], last["rd"], last["rc"], abs(last["gap"])) <= 1e-9
 
     def test_deterministic(self):
-        a = sdp.solve(trig_cone_problem(0.3))
-        b = sdp.solve(trig_cone_problem(0.3))
+        a = sdp.solve(assembled(32, 0, 1e4))
+        b = sdp.solve(assembled(32, 0, 1e4))
         np.testing.assert_array_equal(a.free_vector, b.free_vector)
-        np.testing.assert_array_equal(a.psd_blocks[0], b.psd_blocks[0])
+        assert a.iteration_log == b.iteration_log
         assert a.iterations == b.iterations
 
     def test_merit_decreases_with_safeguard(self):
-        sol = sdp.solve(trig_cone_problem(0.45), tol=1e-9)
+        sol = sdp.solve(assembled(8, 0, 1.0), tol=1e-9)
         merits = [row["gap"] + row["rp"] + row["rd"] for row in sol.iteration_log]
         assert merits[-1] <= 1e-6 * merits[0]
         for prev, cur in zip(merits, merits[1:]):
@@ -88,63 +103,39 @@ class TestSolutionInvariants:
 
 
 class TestValidation:
-    def test_empty_constraint_row_rejected(self):
-        with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, 2.0]),
-                           block_entries=[sdp.ToeplitzEntries([0], [1.0])],
-                           **NO_START)
-        with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, 2.0]),
-                           block_entries=[sdp.ToeplitzEntries([0, 1], [1.0, 0.0])],
-                           **NO_START)
-
     def test_shape_checks(self):
-        ent = [sdp.ToeplitzEntries([0, 1], [1.0, 1.0])]
-        for bad in ({"free_coeffs": np.ones((1, 1))}, {"quad": np.ones((2, 2))},
-                    {"lin": np.ones(2)}):
+        base = program([0.3, -0.2, 0.1], 1.0)
+        for bad in ({"y": base.y[None, :]}, {"d": 2}, {"d": -2}, {"d": 0.5},
+                    {"start_free": np.zeros(2)}, {"start_nu": np.zeros(5)},
+                    {"start_psd": [np.eye(3)]},
+                    {"start_psd": [np.eye(2), np.eye(2)]}):
             with pytest.raises(sdp.SdpError):
-                sdp.SdpProblem(free_dim=1, rhs=np.ones(2), block_entries=ent,
-                               **NO_START, **bad)
-        with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(free_dim=0, rhs=np.ones(4), block_entries=ent, **NO_START)
+                dataclasses.replace(base, **bad)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            dataclasses.replace(base, lam=-1.0)
 
-    def test_block_dims_follow_entries(self):
-        # X_b = I is a strictly feasible start: trace rows 3 and 2, the
-        # subdiagonal rows 0
-        prob = sdp.SdpProblem(free_dim=0, rhs=np.array([3.0, 0.0, 0.0, 2.0, 0.0]),
-                              block_entries=[sdp.ToeplitzEntries([0, 1, 2], np.ones(3)),
-                                             sdp.ToeplitzEntries([3, 4], np.ones(2))],
-                              start_psd=[np.eye(3), np.eye(2)], start_free=np.zeros(0),
-                              start_nu=np.array([-1.0, 0.0, 0.0, -1.0, 0.0]))
-        assert prob.psd_block_dims == (3, 2)
-        with pytest.raises(AttributeError):
-            prob.psd_block_dims = (2, 2)
-
-    def test_only_toeplitz_blocks_accepted(self):
-        triplet = (np.array([0]), np.array([0]), np.array([0]), np.array([1.0]))
-        with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(free_dim=0, rhs=np.ones(1), block_entries=[triplet],
-                           **NO_START)
-        # a problem without a PSD block is not a conic program here
-        with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(free_dim=1, rhs=np.zeros(0), block_entries=[],
-                           quad=np.array([[2.0]]), **NO_START)
-
-    @pytest.mark.parametrize("key", ["rhs", "free_coeffs", "quad", "lin",
-                                     "start_psd", "start_free", "start_nu"])
+    @pytest.mark.parametrize("key", ["lam", "y", "start_psd", "start_free",
+                                     "start_nu"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, key, bad):
-        value = ([np.array([[bad]])] if key == "start_psd"
-                 else np.full_like(getattr(quadratic_problem(), key), bad))
+        base = program([0.3], 1.0)
+        value = (bad if key == "lam" else [np.array([[bad]])] * 2
+                 if key == "start_psd" else np.full_like(getattr(base, key), bad))
         with pytest.raises(sdp.SdpError, match=f"{key} has non-finite"):
-            quadratic_problem(**{key: value})
+            dataclasses.replace(base, **{key: value})
 
     def test_quadratic_objective_with_constraint(self):
-        sol = sdp.solve(quadratic_problem())
-        assert sol.status == sdp.SdpStatus.SOLVED
-        # optimum is x = 0, X = 2
-        assert sol.free_vector[0] == pytest.approx(0.0, abs=1e-6)
-        assert sol.psd_blocks[0][0, 0] == pytest.approx(2.0, abs=1e-6)
+        # m = 1, d = 0: minimize alpha_0 y_0 + alpha_1 y_1 + alpha_1^2 / 2.
+        # The bound is active, |alpha_0| = lam - sqrt(2) b with b = |alpha_1|,
+        # and -|y_0| (lam - sqrt(2) b) - |y_1| b + b^2 / 2 is least at
+        # b = |y_1| - sqrt(2) |y_0|, clipped to [0, lam / sqrt(2)]
+        for y0, y1, lam in [(0.2, 0.8, 1.0), (-0.5, 2.0, 1.0), (1.0, -0.2, 1.0),
+                            (-3e3, 1e4, 2e3)]:
+            b = np.clip(abs(y1) - SQRT2 * abs(y0), 0.0, lam / SQRT2)
+            want = [-np.sign(y0) * (lam - SQRT2 * b), -np.sign(y1) * b]
+            sol = sdp.solve(program([y0, y1], lam, d=0), tol=1e-10)
+            assert sol.status == sdp.SdpStatus.SOLVED
+            np.testing.assert_allclose(sol.free_vector, want, atol=1e-8 * lam)
 
 
 class TestAgainstExternalSolver:
@@ -192,15 +183,24 @@ def max_rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-def dense_reference(ent, W, nu):
-    """apply, adjoint and Schur part of a Toeplitz block from its constraint
-    matrices A_k = v_k (E_k + E_-k) / 2, formed explicitly (E_d has ones
-    where row - column = d)."""
-    n = ent.rows.size
-    A = np.array([0.5 * v * (np.eye(n, k=-k) + np.eye(n, k=k))
-                  for k, v in enumerate(ent.coeffs)])
+def psd_matrix(rng, n, eigenvalues):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    W = (Q * eigenvalues) @ Q.T
+    return 0.5 * (W + W.T)
+
+
+def max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def dense_reference(W, v):
+    """apply, adjoint and Schur part of an n x n block from its constraint
+    matrices A_k = (E_k + E_-k) / 2, formed explicitly (E_d has ones where
+    row - column = d)."""
+    n = W.shape[0]
+    A = np.array([0.5 * (np.eye(n, k=-k) + np.eye(n, k=k)) for k in range(n)])
     AW = A @ W
-    return (np.tensordot(A, W), np.tensordot(nu[ent.rows], A, axes=1),
+    return (np.tensordot(A, W), np.tensordot(v, A, axes=1),
             np.tensordot(AW, AW, axes=([1, 2], [2, 1])))
 
 
@@ -208,58 +208,36 @@ class TestToeplitzAgainstSparse:
     """The FFT Toeplitz operators against the sparse constraint matrices
     they stand for, formed as dense arrays."""
 
-    @pytest.mark.parametrize("n", [2, 3, 33, 129])
+    @pytest.mark.parametrize("n", [1, 2, 3, 33, 129])
     @pytest.mark.parametrize("conditioning", ["random", "ill"])
     def test_operators_agree(self, n, conditioning):
         rng = np.random.default_rng(n)
-        p = 2 * n + 1
-        ent = sdp.ToeplitzEntries(rng.permutation(p)[:n],
-                                  rng.uniform(0.2, 5.0, n))
-        fast = sdp._ToeplitzBlock(ent.rows, ent.coeffs, p)
+        fast = sdp._ToeplitzBlock(n)
         eig = (rng.uniform(0.1, 3.0, n) if conditioning == "random"
                else np.logspace(-10, 4, n))
         W = psd_matrix(rng, n, eig)
-        nu = rng.standard_normal(p)
-        apply_ref, adjoint_ref, schur_ref = dense_reference(ent, W, nu)
-        assert max_rel(fast.apply(W)[ent.rows], apply_ref) <= 1e-13
-        assert np.all(np.delete(fast.apply(W), ent.rows) == 0.0)
-        assert max_rel(fast.adjoint(nu), adjoint_ref) <= 1e-13
-        act, H = fast.schur(W)
-        np.testing.assert_array_equal(act, ent.rows)
-        assert max_rel(H, schur_ref) <= 1e-13
+        v = rng.standard_normal(n)
+        apply_ref, adjoint_ref, schur_ref = dense_reference(W, v)
+        assert max_rel(fast.apply(W), apply_ref) <= 1e-13
+        assert max_rel(fast.adjoint(v), adjoint_ref) <= 1e-13
+        assert max_rel(fast.schur(W), schur_ref) <= 1e-13
 
-    @pytest.mark.parametrize("r1,status", [(0.4, sdp.SdpStatus.SOLVED)])
-    def test_trig_cone_status(self, r1, status):
-        assert sdp.solve(trig_cone_problem(r1), max_iter=80).status == status
-
-    def test_entries_validated(self):
-        with pytest.raises(sdp.SdpError):
-            sdp.ToeplitzEntries([0, 0], [1.0, 1.0])
-        with pytest.raises(sdp.SdpError):
-            sdp.ToeplitzEntries([0, 1], [1.0])
-        with pytest.raises(sdp.SdpError):
-            sdp.ToeplitzEntries([], [])
-        with pytest.raises(sdp.SdpError):
-            sdp.SdpProblem(free_dim=0, rhs=np.ones(2),
-                           block_entries=[sdp.ToeplitzEntries([0, 2], [1.0, 1.0])],
-                           **NO_START)
+    @pytest.mark.parametrize("lam,status", [(0.4, sdp.SdpStatus.SOLVED)])
+    def test_trig_cone_status(self, lam, status):
+        # m = 1: two 2 x 2 Gram blocks, the smallest trigonometric cone
+        assert sdp.solve(program([0.3, -0.5], lam), max_iter=80).status == status
 
 
-def assembled(m, d, scale):
-    """The dual program of a noisy 3-spike observation scaled by `scale`,
-    lam a tenth of the largest |y|: with scale 1e4, the size of the moment
-    vectors of the spline runs."""
-    from chebspike.blasso import assemble_dual_sdp
-    from chebspike.measures import DiscreteMeasure
-    from chebspike.observation import simulate
-
-    x = DiscreteMeasure([-0.7, 0.1, 0.6], [scale, -0.6 * scale, 0.8 * scale])
-    obs = simulate(x, m, d, 0.01 * scale, seed=m)
-    return assemble_dual_sdp(obs, 0.1 * np.abs(obs.y).max())
+def with_diagonal(X, diag):
+    """X plus diag(diag): with entries summing to 0 the subdiagonal sums,
+    and so r_p, do not change."""
+    return [X[0] + np.diag(diag), X[1]]
 
 
-ASSEMBLED = [(m, d, scale) for m in (1, 8, 32, 128) for d in (-1, 0, 2)
-             for scale in (1.0, 1e4) if m > d]
+def shift_nu(prob, rows, c):
+    nu = prob.start_nu.copy()
+    nu[rows] += c
+    return nu
 
 
 class TestFeasibleStart:
@@ -269,20 +247,21 @@ class TestFeasibleStart:
     @pytest.mark.parametrize("m,d,scale", ASSEMBLED)
     def test_assembled_start_is_strictly_feasible(self, m, d, scale):
         prob = assembled(m, d, scale)
+        n = m + 1
         nu, x = prob.start_nu, prob.start_free
-        r_p = prob.rhs - prob.free_coeffs @ x
-        for ent, X in zip(prob.block_entries, prob.start_psd):
-            # A_b(X) and Z_b = -A_b*(nu) formed from the subdiagonals
-            r_p[ent.rows] -= ent.coeffs * [np.trace(X, offset=-k)
-                                           for k in range(ent.rows.size)]
-            t = 0.5 * ent.coeffs * nu[ent.rows]
+        r_p = prob.h - prob.F @ x
+        for b, X in enumerate(prob.start_psd):
+            rows = slice(b * n, (b + 1) * n)
+            # A(X_b) and Z_b = -A*(nu_b) formed from the subdiagonals
+            r_p[rows] -= [np.trace(X, offset=-k) for k in range(n)]
+            t = 0.5 * nu[rows]
             t[0] *= 2.0
             for M in (X, -sla.toeplitz(t)):
                 np.linalg.cholesky(M)
                 np.testing.assert_array_equal(M, M[::-1, ::-1])
-        r_d = prob.free_coeffs.T @ nu - prob.quad @ x - prob.lin
-        assert np.abs(r_p).max() <= 1e-13 * np.abs(prob.rhs).max()
-        assert np.abs(r_d).max() <= 1e-13 * np.abs(prob.lin).max()
+        r_d = prob.F.T @ nu - prob.Q @ x - prob.y
+        assert np.abs(r_p).max() <= 1e-13 * prob.lam
+        assert np.abs(r_d).max() <= 1e-13 * np.abs(prob.y).max()
 
     @pytest.mark.parametrize("m,d,scale", ASSEMBLED)
     def test_equality_residual_stays_at_roundoff(self, m, d, scale):
@@ -298,47 +277,56 @@ class TestFeasibleStart:
         # no step is taken from the last iterate
         assert (log[-1]["ap"], log[-1]["ad"], log[-1]["halvings"]) == (0.0, 0.0, 0)
 
+    # each start perturbs the m = 8 program's, which has X_b = I / 9 and
+    # Z_0 = U I, U the negated first entry of nu
     @pytest.mark.parametrize("start", [
-        # r_p = 0.1 on the trace row
-        trig_cone_start(0.3) | {"start_psd": [np.array([[0.55, 0.3], [0.3, 0.55]])]},
-        # X has eigenvalue 0.5 - 0.6 < 0 with r_p = 0: r1 = 0.6 is infeasible
-        trig_cone_start(0.6),
-        # Z = -A*(nu) = -I
-        trig_cone_start(0.3) | {"start_nu": np.array([1.0, 0.0])},
-        # Z singular
-        trig_cone_start(0.3) | {"start_nu": np.array([-1.0, 2.0])},
+        # r_p = 0.1 on block 0's trace row
+        {"psd_diag": np.full(9, 0.1 / 9), "reason": "r_p"},
+        # X_0 has eigenvalue 1/9 - 0.2 < 0 with r_p = 0
+        {"psd_diag": [0.2, -0.2, 0, 0, 0, 0, 0, -0.2, 0.2],
+         "reason": "positive definite"},
+        # nu_0 and nu_1 both shifted by 2U e_0: F' nu is unchanged, Z_0 = -U I
+        {"nu_shift": 2.0, "reason": "positive definite"},
+        # the same shifted by U: Z_0 = 0
+        {"nu_shift": 1.0, "reason": "positive definite"},
         # shape
-        trig_cone_start(0.3) | {"start_nu": np.array([-1.0])},
+        {"reason": "shapes"},
     ])
     def test_bad_start_rejected(self, start):
-        r1 = start["start_psd"][0][0, 1]
-        with pytest.raises(sdp.SdpError):
-            trig_cone_problem(r1, **start)
+        prob = assembled(8, 0, 1.0)
+        if "psd_diag" in start:
+            changes = {"start_psd": with_diagonal(prob.start_psd, start["psd_diag"])}
+        elif "nu_shift" in start:
+            changes = {"start_nu": shift_nu(prob, [0, 9],
+                                            -start["nu_shift"] * prob.start_nu[0])}
+        else:
+            changes = {"start_nu": prob.start_nu[:-1]}
+        with pytest.raises(sdp.SdpError, match=start["reason"]):
+            dataclasses.replace(prob, **changes)
 
     def test_start_must_be_centrosymmetric(self):
-        ent = [sdp.ToeplitzEntries([0, 1, 2], np.ones(3))]
-        start = {"start_free": np.zeros(0), "start_nu": np.array([-1.0, 0.0, 0.0])}
-        sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, 0.0, 0.0]), block_entries=ent,
-                       start_psd=[np.eye(3) / 3], **start)
+        prob = assembled(8, 0, 1.0)
+        # traceless and diagonal, so r_p = 0, and X_0 stays positive definite
+        diag = np.zeros(9)
+        diag[:2] = [0.01, -0.01]
         with pytest.raises(sdp.SdpError, match="centrosymmetric"):
-            sdp.SdpProblem(free_dim=0, rhs=np.array([1.0, 0.0, 0.0]),
-                           block_entries=ent, start_psd=[np.diag([0.2, 0.3, 0.5])],
-                           **start)
+            dataclasses.replace(prob, start_psd=with_diagonal(prob.start_psd, diag))
+        diag[-2:] = [-0.01, 0.01]
+        dataclasses.replace(prob, start_psd=with_diagonal(prob.start_psd, diag))
 
     def test_dual_residual_checked(self):
-        # minimize x^2 s.t. X + x = 2: X = 3, x = -1 needs nu = 2 x = -2
-        def prob(nu):
-            return sdp.SdpProblem(free_dim=1, rhs=np.array([2.0]),
-                                  block_entries=[sdp.ToeplitzEntries([0], [1.0])],
-                                  start_psd=[np.array([[3.0]])],
-                                  start_free=np.array([-1.0]), start_nu=np.array([nu]),
-                                  free_coeffs=np.array([[1.0]]), quad=np.array([[2.0]]))
-        prob(-2.0)
+        # a small shift of block 1's trace multiplier keeps Z_1 >= I - 0.01 I
+        # positive definite and moves F' nu off Q x + y
+        prob = assembled(8, 0, 1.0)
+        dataclasses.replace(prob, start_nu=shift_nu(prob, [9], 0.0))
         with pytest.raises(sdp.SdpError, match="r_d"):
-            prob(-1.0)
+            dataclasses.replace(prob, start_nu=shift_nu(prob, [9], 0.01))
 
 
 class TestNumericalFloor:
+    """Each solve of the m = 8 program below makes two KKT solves and two
+    Schur blocks per iteration."""
+
     def test_non_finite_direction_ends_with_status(self, monkeypatch):
         # poison the KKT solve from the third iteration's predictor on, as
         # roundoff does on a diverging trajectory
@@ -351,7 +339,7 @@ class TestNumericalFloor:
             return sol if len(calls) < 5 else np.full_like(sol, np.nan)
 
         monkeypatch.setattr(sdp, "_kkt_solve", poisoned)
-        sol = sdp.solve(trig_cone_problem(0.45), tol=1e-9)
+        sol = sdp.solve(assembled(8, 0, 1.0), tol=1e-9)
         assert sol.iterations == 3
         assert sol.iteration_log[-1]["stop"] == "non-finite direction"
         assert all("stop" not in row for row in sol.iteration_log[:-1])
@@ -360,18 +348,18 @@ class TestNumericalFloor:
         assert sol.gap == sol.iteration_log[-1]["gap"] > 1e-9
 
     def test_non_finite_schur_complement_ends_with_status(self, monkeypatch):
-        # poison the Schur complement from the fifth iteration on, as
-        # overflow does on a diverging trajectory
+        # poison the Schur complement from the fifth iteration's first
+        # block on, as overflow does on a diverging trajectory
         real = sdp._ToeplitzBlock.schur
         calls = []
 
         def poisoned(self, W):
             calls.append(None)
-            act, H = real(self, W)
-            return act, (H if len(calls) < 5 else np.full_like(H, np.inf))
+            H = real(self, W)
+            return H if len(calls) < 9 else np.full_like(H, np.inf)
 
         monkeypatch.setattr(sdp._ToeplitzBlock, "schur", poisoned)
-        sol = sdp.solve(trig_cone_problem(0.45), tol=1e-9)
+        sol = sdp.solve(assembled(8, 0, 1.0), tol=1e-9)
         assert sol.iterations == 5
         assert sol.iteration_log[-1]["stop"] == "non-finite Schur complement"
         assert all("stop" not in row for row in sol.iteration_log[:-1])
@@ -380,19 +368,19 @@ class TestNumericalFloor:
         assert sol.gap == sol.iteration_log[-1]["gap"] > 1e-9
 
     def test_zero_pivot_ends_with_status(self, monkeypatch):
-        # a zero Schur complement from the third iteration on makes the KKT
-        # matrix exactly singular: the factorization must not raise, and
-        # the non-finite direction ends the solve
+        # zero Schur blocks from the third iteration on make the KKT matrix
+        # exactly singular: the factorization must not raise, and the
+        # non-finite direction ends the solve
         real = sdp._ToeplitzBlock.schur
         calls = []
 
         def zeroed(self, W):
             calls.append(None)
-            act, H = real(self, W)
-            return act, (H if len(calls) < 3 else np.zeros_like(H))
+            H = real(self, W)
+            return H if len(calls) < 5 else np.zeros_like(H)
 
         monkeypatch.setattr(sdp._ToeplitzBlock, "schur", zeroed)
-        sol = sdp.solve(trig_cone_problem(0.45), tol=1e-9)
+        sol = sdp.solve(assembled(8, 0, 1.0), tol=1e-9)
         assert sol.iterations == 3
         assert sol.iteration_log[-1]["stop"] == "non-finite direction"
         assert all("stop" not in row for row in sol.iteration_log[:-1])
@@ -401,7 +389,7 @@ class TestNumericalFloor:
 
     def test_mu_floor_marks_the_last_row(self):
         # a tolerance below roundoff: the solve ends at the numerical floor
-        sol = sdp.solve(trig_cone_problem(0.45), tol=1e-20)
+        sol = sdp.solve(program([0.3, -0.5], 0.4), tol=1e-20)
         assert sol.iteration_log[-1]["stop"] == "numerical floor"
         assert all("stop" not in row for row in sol.iteration_log[:-1])
 
@@ -538,10 +526,7 @@ class TestCentrosymmetricHalves:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 33, 129, 130])
     def test_adjoint_is_centrosymmetric(self, n):
-        rng = np.random.default_rng(n)
-        p = 2 * n + 1
-        blk = sdp._ToeplitzBlock(rng.permutation(p)[:n], rng.uniform(0.2, 5.0, n), p)
-        A = blk.adjoint(rng.standard_normal(p))
+        A = sdp._ToeplitzBlock(n).adjoint(np.random.default_rng(n).standard_normal(n))
         np.testing.assert_array_equal(A, A[::-1, ::-1])
 
     @pytest.mark.parametrize("n", [2, 3, 33, 129])
@@ -577,17 +562,3 @@ class TestCentrosymmetricHalves:
     def test_non_finite_step_direction_raises(self):
         with pytest.raises(sdp.SdpError):
             sdp._max_step(np.ones(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
-
-    def test_solve_returns_centrosymmetric_blocks(self):
-        from chebspike.blasso import assemble_dual_sdp
-        from chebspike.measures import DiscreteMeasure
-        from chebspike.observation import simulate
-
-        obs = simulate(DiscreteMeasure([-0.4, 0.5], [1.0, -0.7]), 10, -1, 0.02,
-                       seed=2)
-        for prob in (assemble_dual_sdp(obs, 0.05), trig_cone_problem(0.45),
-                     pinned_psd_scalar()):
-            sol = sdp.solve(prob, tol=1e-9)
-            assert sol.status == sdp.SdpStatus.SOLVED
-            for X in sol.psd_blocks:
-                np.testing.assert_array_equal(X, X[::-1, ::-1])
