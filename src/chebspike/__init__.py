@@ -16,8 +16,7 @@ from .sdp import SdpProblem, SdpSolution, SdpStatus, solve as solve_sdp
 from .blasso import (DualSolution, PrimalSolution, assemble_dual_sdp,
                      fit_weights, solve_blasso, verify_first_order)
 from .certificates import (Certificate, SymmetrizedSupport, build_certificate,
-                           fejer_kernel_sq, symmetrize_support,
-                           verify_certificate)
+                           symmetrize_support, verify_certificate)
 from .diagnostics import (RecoveryConstants, RecoveryReport, global_control,
                           local_control, localization_radius,
                           prediction_margin, spline_jump_report)

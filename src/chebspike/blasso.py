@@ -41,10 +41,8 @@ from .observation import Observation
 from . import sdp
 
 
-# a level-set point must reach (1 - LEVEL_TOL) * lam, and its dual value at
-# least SIGN_THRESHOLD * lam, to seed an atom
+# a level-set point must reach (1 - LEVEL_TOL) * lam to seed an atom
 LEVEL_TOL = 1e-4
-SIGN_THRESHOLD = 0.9
 # grid of the constant-dual path's nonnegative least-squares fit
 DEGENERATE_GRID = 512
 
@@ -135,7 +133,8 @@ def fit_weights(support, obs: Observation, lam: float, signs):
     m, d = obs.m, obs.d
     n_eq = d + 1
     keep = np.ones(support.size, dtype=bool)
-    for _ in range(support.size):
+    # each pass returns or drops at least one atom
+    while True:
         pts = support[keep]
         s = signs[keep]
         Phi = phi_matrix(pts, m)
@@ -178,7 +177,6 @@ def fit_weights(support, obs: Observation, lam: float, signs):
         keep[idx] = False
         if not keep.any():
             return np.zeros(support.size), np.zeros(n_eq), keep
-    raise BlassoError("sign-consistent weight fit did not terminate")
 
 
 def _phi_deriv_matrices(points, m: int):
@@ -394,9 +392,7 @@ def solve_blasso(obs: Observation, lam: float,
     opts = opts or BlassoOptions()
     prob = assemble_dual_sdp(obs, lam)
     ssol = sdp.solve(prob, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter)
-    # a near miss against the numerical floor: the solve returns its best
-    # iterate, and one within 10x the tolerance is accepted as it is
-    if ssol.status != sdp.SdpStatus.SOLVED and ssol.gap > 10.0 * opts.sdp_tol:
+    if ssol.status != sdp.SdpStatus.SOLVED:
         raise BlassoError(
             f"dual conic solve failed: status={ssol.status.value}, "
             f"gap={ssol.gap:.3e}, iterations={ssol.iterations}")
@@ -416,8 +412,9 @@ def solve_blasso(obs: Observation, lam: float,
         support = unit_level_roots(dual_poly, lam, LEVEL_TOL)
     except ConstantDualError:
         degenerate = True
+        # |p| is constant at lam on the locator's 4m-point grid, so p has
+        # one sign and p(0) is not 0
         sign = -float(np.sign(eval_poly(dual_poly, 0.0)))
-        sign = sign if sign else 1.0
         measure = _degenerate_solution(obs, alpha, sign, floor, theta_cap)
         # the subgradient polynomial is then -dual_poly itself
         multipliers = alpha[:d + 1]
@@ -425,23 +422,20 @@ def solve_blasso(obs: Observation, lam: float,
         if support.size == 0:
             measure = DiscreteMeasure.empty()
         else:
+            # every located point has |p| >= lam (1 - LEVEL_TOL), so its
+            # sign is the weight's
             vals = eval_poly(dual_poly, support)
-            ok = np.abs(vals) >= SIGN_THRESHOLD * lam
-            support, vals = support[ok], np.atleast_1d(vals)[ok]
-            if support.size == 0:
-                measure = DiscreteMeasure.empty()
-            else:
-                signs = -np.sign(vals)
-                if theta_cap > 0:
-                    # clipping can bring an endpoint atom within the
-                    # locator's merge radius of its interior neighbour
-                    t_cap = np.cos(theta_cap)
-                    support = np.clip(support, -t_cap, t_cap)
-                    keep = merge_close(support, np.abs(vals), theta_cap)
-                    support, signs = support[keep], signs[keep]
-                support, weights = _refine_support(
-                    support, obs, lam, signs, floor, theta_cap)
-                measure = DiscreteMeasure(support, weights)
+            signs = -np.sign(vals)
+            if theta_cap > 0:
+                # clipping can bring an endpoint atom within the locator's
+                # merge radius of its interior neighbour
+                t_cap = np.cos(theta_cap)
+                support = np.clip(support, -t_cap, t_cap)
+                keep = merge_close(support, np.abs(vals), theta_cap)
+                support, signs = support[keep], signs[keep]
+            support, weights = _refine_support(
+                support, obs, lam, signs, floor, theta_cap)
+            measure = DiscreteMeasure(support, weights)
 
     if d >= 0 and not degenerate and not measure.is_empty:
         multipliers = _anchored_multipliers(measure, obs, lam, alpha[:d + 1])

@@ -17,7 +17,6 @@ isolation kind.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,10 +113,6 @@ class SquaredFejerKernel:
         return self._series(t, 2)
 
 
-def fejer_kernel_sq(m: int) -> SquaredFejerKernel:
-    return SquaredFejerKernel(m)
-
-
 def _cosine_coeffs_from_samples(fun, m: int) -> np.ndarray:
     """Cosine coefficients a_k of a degree-m cosine polynomial from its
     values on the 2m+1 point extrema grid (type-I DCT, exact)."""
@@ -204,18 +199,10 @@ class CertificateReport:
     interpolation_residual: float
     margins: dict
     worst_margin: float
-    constants: dict
 
     def passes(self, eq_tol: float = 1e-8, margin_tol: float = -1e-9) -> bool:
         return (self.interpolation_residual <= eq_tol
                 and self.worst_margin >= margin_tol)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind, "grid_size": self.grid_size,
-            "interpolation_residual": self.interpolation_residual,
-            "margins": self.margins, "worst_margin": self.worst_margin,
-            "constants": self.constants}, sort_keys=True)
 
 
 def verify_certificate(cert: Certificate, support, m: int,
@@ -284,8 +271,7 @@ def verify_certificate(cert: Certificate, support, m: int,
     worst = float(min(finite)) if finite else np.inf
     return CertificateReport(
         kind=cert.kind, grid_size=grid_size, interpolation_residual=interp,
-        margins=margins, worst_margin=worst,
-        constants={"c0": CERT_C0, "C1": CERT_C1, "C2": CERT_C2})
+        margins=margins, worst_margin=worst)
 
 
 def trig_second_derivative_sup(cert: Certificate, grid_size: int = 4096) -> float:

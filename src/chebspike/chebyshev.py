@@ -15,6 +15,10 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 SQRT2 = float(np.sqrt(2.0))
+# level-set candidates: the largest imaginary part of a root kept as real,
+# and the Newton steps of the polish to a maximizer of |p|
+ROOT_IMAG_TOL = 1e-3
+POLISH_STEPS = 40
 
 
 class ConstantDualError(Exception):
@@ -117,11 +121,11 @@ def endpoint_weight(k: int, l: int) -> float:
     return float(acc)
 
 
-def _polish_abs_maximum(tcoeffs, dc1, dc2, t0: float, max_steps: int = 40) -> float:
+def _polish_abs_maximum(tcoeffs, dc1, dc2, t0: float) -> float:
     """Newton iteration on (p^2)' to move t0 to a nearby critical point of p^2,
     clamped to [-1, 1].  Returns the refined point (falls back to t0)."""
     t = float(t0)
-    for _ in range(max_steps):
+    for _ in range(POLISH_STEPS):
         p = npcheb.chebval(t, tcoeffs)
         p1 = npcheb.chebval(t, dc1)
         p2 = npcheb.chebval(t, dc2)
@@ -143,8 +147,7 @@ def _polish_abs_maximum(tcoeffs, dc1, dc2, t0: float, max_steps: int = 40) -> fl
     return float(t0)
 
 
-def unit_level_roots(p: ChebPoly, level: float, tol: float,
-                     imag_tol: float = 1e-3) -> np.ndarray:
+def unit_level_roots(p: ChebPoly, level: float, tol: float) -> np.ndarray:
     """Locate the points of [-1, 1] where |p| reaches the given level.
 
     Candidates are the real roots of level - p and of level + p, the
@@ -157,7 +160,7 @@ def unit_level_roots(p: ChebPoly, level: float, tol: float,
     Tangential level-set points are double roots of level -+ p and the
     eigenvalue solver splits them into close pairs, either real or complex
     with imaginary parts on the order of the square root of the coefficient
-    error (machine eps plus whatever inexactness p carries); ``imag_tol``
+    error (machine eps plus whatever inexactness p carries); ROOT_IMAG_TOL
     is sized generously so such pairs survive this filter, because the
     value filter above is what finally discards stray candidates.
 
@@ -185,7 +188,7 @@ def unit_level_roots(p: ChebPoly, level: float, tol: float,
         if q.size >= 2:
             roots.append(npcheb.chebroots(q))
     roots = np.concatenate(roots)
-    real = roots[np.abs(roots.imag) <= imag_tol].real
+    real = roots[np.abs(roots.imag) <= ROOT_IMAG_TOL].real
     real = real[(real >= -1.0 - 1e-9) & (real <= 1.0 + 1e-9)]
     # the endpoints can carry one-sided maxima that are not double roots
     candidates = np.concatenate([np.clip(real, -1.0, 1.0), [-1.0, 1.0]])

@@ -147,11 +147,19 @@ def _real_list(val, what: str, bound: float = np.inf) -> np.ndarray:
 
 
 def _check_keys(cfg: dict, mode: str) -> None:
-    """Reject every key of `cfg` that `mode` does not read (MODE_KEYS)."""
+    """Reject every key of `cfg` that `mode` does not read (MODE_KEYS), a
+    'seed' that is not an integer >= 0 and an 'out_dir' that is not a
+    nonempty string.  An integral float seed is stored back as an int."""
+    if "seed" in cfg:
+        cfg["seed"] = _int_field(cfg, "seed", minimum=0)
+    out_dir = cfg.get("out_dir", "out")
+    if not (isinstance(out_dir, str) and out_dir):
+        raise ConfigError(f"config field 'out_dir' must be a nonempty "
+                          f"string, got {out_dir!r}")
     for key in cfg:
         if key in ("mode", "seed", "out_dir") + MODE_KEYS[mode]:
             continue
-        if key in ("level_tol", "sign_threshold", "interior_support"):
+        if key in ("level_tol", "interior_support"):
             raise ConfigError(f"'{key}' is not a config field: it is fixed "
                               f"by the solver or by the mode")
         if mode == "recover-spikes" and key == "sigma0":

@@ -4,8 +4,7 @@ prediction inequality over random test polynomials."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,24 +22,22 @@ class RecoveryConstants:
 DEFAULT_CONSTANTS = RecoveryConstants()
 
 
-def global_control(x_hat: DiscreteMeasure, true_support, m: int,
-                   constants: RecoveryConstants = DEFAULT_CONSTANTS) -> float:
+def global_control(x_hat: DiscreteMeasure, true_support, m: int) -> float:
     """sum over recovered atoms of |weight| * min(m^2 d(.,support)^2, c0^2);
     bounded by c1 * lam on successful runs."""
     if x_hat.is_empty:
         return 0.0
     ts = np.atleast_1d(np.asarray(true_support, dtype=float))
     d = np.abs(np.arccos(x_hat.support)[:, None] - np.arccos(ts)[None, :]).min(axis=1)
-    caps = np.minimum(m ** 2 * d ** 2, constants.c0 ** 2)
+    caps = np.minimum(m ** 2 * d ** 2, DEFAULT_CONSTANTS.c0 ** 2)
     return float(np.abs(x_hat.weights) @ caps)
 
 
-def local_control(x_hat: DiscreteMeasure, x: DiscreteMeasure, m: int,
-                  constants: RecoveryConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+def local_control(x_hat: DiscreteMeasure, x: DiscreteMeasure, m: int) -> np.ndarray:
     """Per true spike: |true weight - sum of recovered weights within arccos
     radius c0/m| (ties on the closed ball count as inside)."""
     out = np.empty(len(x))
-    radius = constants.c0 / m
+    radius = DEFAULT_CONSTANTS.c0 / m
     for i, (ti, ai) in enumerate(zip(x.support, x.weights)):
         if x_hat.is_empty:
             out[i] = abs(ai)
@@ -50,24 +47,24 @@ def local_control(x_hat: DiscreteMeasure, x: DiscreteMeasure, m: int,
     return out
 
 
-def localization_radius(amplitude: float, lam: float, m: int,
-                        constants: RecoveryConstants = DEFAULT_CONSTANTS) -> float:
+def localization_radius(amplitude: float, lam: float, m: int) -> float:
     """Guaranteed detection radius sqrt(c1 lam / (|a| - c2 lam)) / m for a
     spike of the given amplitude; +inf when the amplitude is too small for
     any guarantee."""
-    if abs(amplitude) <= constants.c2 * lam:
+    c = DEFAULT_CONSTANTS
+    if abs(amplitude) <= c.c2 * lam:
         return np.inf
-    return float(np.sqrt(constants.c1 * lam / (abs(amplitude) - constants.c2 * lam)) / m)
+    return float(np.sqrt(c.c1 * lam / (abs(amplitude) - c.c2 * lam)) / m)
 
 
 def localization_check(x_hat: DiscreteMeasure, x: DiscreteMeasure, lam: float,
-                       m: int, constants: RecoveryConstants = DEFAULT_CONSTANTS):
+                       m: int):
     """For each true spike above the guarantee threshold, the required
     radius, the achieved distance to the nearest recovered atom, and whether
     the radius was met."""
     rows = []
     for ti, ai in zip(x.support, x.weights):
-        req = localization_radius(ai, lam, m, constants)
+        req = localization_radius(ai, lam, m)
         if not np.isfinite(req):
             continue
         if x_hat.is_empty:
@@ -106,13 +103,12 @@ class RecoveryReport:
     prediction_margin: float | None
     lam: float
     m: int
-    constants: RecoveryConstants = DEFAULT_CONSTANTS
 
     def global_ok(self) -> bool:
-        return self.global_control <= self.constants.c1 * self.lam
+        return self.global_control <= DEFAULT_CONSTANTS.c1 * self.lam
 
     def local_ok(self) -> bool:
-        return all(v <= self.constants.c2 * self.lam for v in self.local_controls)
+        return all(v <= DEFAULT_CONSTANTS.c2 * self.lam for v in self.local_controls)
 
     def localization_ok(self) -> bool:
         return all(row["ok"] for row in self.localization)
@@ -130,34 +126,28 @@ class RecoveryReport:
             "localization": self.localization,
             "prediction_margin": self.prediction_margin,
             "lam": self.lam, "m": self.m,
-            "constants": {"c0": self.constants.c0, "c1": self.constants.c1,
-                          "c2": self.constants.c2},
+            "constants": asdict(DEFAULT_CONSTANTS),
             "global_ok": self.global_ok(), "local_ok": self.local_ok(),
             "localization_ok": self.localization_ok(), "passes": self.passes(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def recovery_report(x_hat: DiscreteMeasure, x: DiscreteMeasure, lam: float,
                     m: int, lam0: float | None = None,
-                    prediction_trials: int = 0, seed=0,
-                    constants: RecoveryConstants = DEFAULT_CONSTANTS) -> RecoveryReport:
+                    prediction_trials: int = 0, seed=0) -> RecoveryReport:
     margin = None
     if prediction_trials:
         margin = prediction_margin(x_hat, x, lam, lam0 if lam0 is not None else 0.0,
                                    m, prediction_trials, seed)
     return RecoveryReport(
-        global_control=global_control(x_hat, x.support, m, constants),
-        local_controls=local_control(x_hat, x, m, constants).tolist(),
-        localization=localization_check(x_hat, x, lam, m, constants),
-        prediction_margin=margin, lam=lam, m=m, constants=constants)
+        global_control=global_control(x_hat, x.support, m),
+        local_controls=local_control(x_hat, x, m).tolist(),
+        localization=localization_check(x_hat, x, lam, m),
+        prediction_margin=margin, lam=lam, m=m)
 
 
 def spline_jump_report(f_hat, f, lam: float, m: int,
-                       lam0: float | None = None,
-                       constants: RecoveryConstants = DEFAULT_CONSTANTS) -> RecoveryReport:
+                       lam0: float | None = None) -> RecoveryReport:
     """Recovery report for splines: the derivative-jump measures play the
     role of the spike amplitudes."""
     from .splines import distributional_derivative
@@ -165,4 +155,4 @@ def spline_jump_report(f_hat, f, lam: float, m: int,
         raise ValueError("spline degrees differ")
     return recovery_report(distributional_derivative(f_hat),
                            distributional_derivative(f), lam, m,
-                           lam0=lam0, constants=constants)
+                           lam0=lam0)

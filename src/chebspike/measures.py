@@ -3,7 +3,6 @@ and the separation geometry used by the recovery guarantees."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +128,3 @@ def measure_from_dict(obj: dict) -> DiscreteMeasure:
         raise ValueError("measure object needs 'support' and 'weights'")
     return DiscreteMeasure(np.asarray(obj["support"], dtype=float),
                            np.asarray(obj["weights"], dtype=float))
-
-
-def measure_to_json(mu: DiscreteMeasure) -> str:
-    return json.dumps(measure_to_dict(mu), sort_keys=True)
-
-
-def measure_from_json(text: str) -> DiscreteMeasure:
-    return measure_from_dict(json.loads(text))

@@ -4,7 +4,6 @@ of the regularization parameter."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -172,11 +171,3 @@ def observation_from_dict(obj: dict) -> Observation:
             raise ValueError(f"observation object missing '{key}'")
     return Observation(np.asarray(obj["y"], dtype=float), int(obj["d"]),
                        int(obj["m"]), float(obj["sigma"]))
-
-
-def observation_to_json(obs: Observation) -> str:
-    return json.dumps(observation_to_dict(obs), sort_keys=True)
-
-
-def observation_from_json(text: str) -> Observation:
-    return observation_from_dict(json.loads(text))

@@ -83,10 +83,11 @@ While the complementarity gap and residuals generally decrease monotonically,
 a step that would increase the combined merit (relative gap plus relative
 residuals) more than tenfold is halved up to three times before being
 accepted; this is the safeguard referred to in the iteration log, which
-records each step's lengths `ap`, `ad` and its number of `halvings`.  A
-vanishing gap, a non-finite Schur complement or a non-finite Newton
-direction ends the solve at the numerical floor, named under `stop` in the
-last log row.
+records each step's lengths `ap`, `ad` and its number of `halvings`.  The
+row's `jitter` counts the Cholesky factors of that step's NT scalings that
+needed a diagonal shift (`_chol`).  A vanishing gap, a non-finite Schur
+complement or a non-finite Newton direction ends the solve at the numerical
+floor, named under `stop` in the last log row.
 """
 
 from __future__ import annotations
@@ -196,7 +197,6 @@ class SdpProblem:
 @dataclass
 class SdpSolution:
     free_vector: np.ndarray
-    objective_value: float
     gap: float
     iterations: int
     status: SdpStatus
@@ -240,23 +240,27 @@ class _ToeplitzBlock:
 
 
 def _nt_scaling(X: np.ndarray, Z: np.ndarray):
-    """NT scaling point: returns (R, Rinv, W, sv) with W Z W = X,
-    X = R diag(sv) R' and Z = Rinv' diag(sv) Rinv."""
-    Lx, Lz = _chol(X), _chol(Z)
+    """NT scaling point: returns ((R, Rinv, W, sv), jitter) with W Z W = X,
+    X = R diag(sv) R' and Z = Rinv' diag(sv) Rinv, and jitter the number
+    of the two Cholesky factors that needed it (`_chol`)."""
+    (Lx, jx), (Lz, jz) = _chol(X), _chol(Z)
     U, sv, Vt = np.linalg.svd(Lz.T @ Lx)
     sq = np.sqrt(sv)
     R = Lx @ (Vt.T / sq[None, :])
     Rinv = (U / sq[None, :]).T @ Lz.T
     W = R @ R.T
-    return R, Rinv, 0.5 * (W + W.T), sv
+    return (R, Rinv, 0.5 * (W + W.T), sv), jx + jz
 
 
-def _chol(M: np.ndarray) -> np.ndarray:
+def _chol(M: np.ndarray):
+    """(L, jittered): the Cholesky factor of M, retried on M + s I with s
+    1e-14, 1e-13, then 1e-12 times the mean diagonal of M until one
+    factors; jittered tells whether a shift was needed."""
     jitter = 0.0
     base = np.trace(M) / M.shape[0]
     for _ in range(4):
         try:
-            return np.linalg.cholesky(M + jitter * np.eye(M.shape[0]))
+            return np.linalg.cholesky(M + jitter * np.eye(M.shape[0])), jitter > 0.0
         except np.linalg.LinAlgError:
             jitter = max(1e-14 * base, 10.0 * jitter)
     raise SdpError("block lost positive definiteness")
@@ -325,11 +329,12 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     """Solve the program to relative accuracy `tol`.
 
     The solve starts from the problem's strictly feasible point, mapped to
-    the scaled coordinates.  Returns SOLVED when the relative equality
-    residual, dual residual, complementarity residual and gap all fall below
-    tol, and MAX_ITER otherwise (the iteration limit or a stop at the
-    numerical floor).  The returned point is the best iterate, and `gap` is
-    the largest of those four relative measures there.
+    the scaled coordinates.  It stops at the first iterate whose relative
+    equality residual, dual residual, complementarity residual and gap all
+    fall below tol, and returns it as SOLVED.  Otherwise it returns the last
+    iterate as MAX_ITER: the iteration limit was reached, or the solve
+    stopped at the numerical floor.  `gap` is the largest of those four
+    relative measures at the returned iterate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -402,8 +407,6 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
     log = []
     it = 0
-    best_rel = {"all": np.inf}
-    best_x = None
     gamma = 0.99
     meas = measures(X, Z, x, nu)
 
@@ -413,24 +416,21 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         log.append({"iter": it - 1, "pobj": s_obj * s_var * rel["pobj"],
                     "dobj": s_obj * s_var * rel["dobj"], "gap": rel["gap"],
                     "rp": rel["rp"], "rd": rel["rd"], "rc": rel["rc"],
-                    "ap": 0.0, "ad": 0.0, "halvings": 0})
-        if rel["all"] < best_rel["all"]:
-            best_rel = rel
-            best_x = x.copy()
+                    "ap": 0.0, "ad": 0.0, "halvings": 0, "jitter": 0})
         if rel["all"] <= tol:
             break
         if gap <= 0.0 or mu < 1e-17 * (1.0 + abs(rel["pobj"])):
-            # numerical floor; classify from the best iterate below
             log[-1]["stop"] = "numerical floor"
             break
 
         # NT scalings per half, Schur complement per full block
-        scal = [_nt_scaling(Xh, Zh) for Xh, Zh in zip(X, Z)]
+        scal, jitter = zip(*[_nt_scaling(Xh, Zh) for Xh, Zh in zip(X, Z)])
+        log[-1]["jitter"] = sum(jitter)
         for b, W in enumerate(join([sc[2] for sc in scal])):
             Hb = blk.schur(W)
             K[b * n:(b + 1) * n, b * n:(b + 1) * n] = 0.5 * (Hb + Hb.T)
         if not np.all(np.isfinite(K[:p, :p])):
-            # overflow on a diverging run; classify from the best iterate
+            # overflow on a diverging run
             log[-1]["stop"] = "non-finite Schur complement"
             break
         # the data are finite (SdpProblem) and so is H; a zero pivot is
@@ -507,12 +507,6 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         log[-1].update(ap=sp, ad=sd, halvings=halvings)
         X, Z, x, nu = Xn, Zn, xn, nun
 
-    # fall back to the best iterate seen if the last one is not the best
-    rel = meas[-1]
-    if rel["all"] > best_rel["all"]:
-        x, rel = best_x, best_rel
-    final_gap = rel["all"]
+    final_gap = meas[-1]["all"]
     status = SdpStatus.SOLVED if final_gap <= tol else SdpStatus.MAX_ITER
-    x_out = s_var * x
-    obj = 0.5 * x_out @ prob.Q @ x_out + prob.y @ x_out
-    return SdpSolution(x_out, float(obj), float(final_gap), it, status, log)
+    return SdpSolution(s_var * x, float(final_gap), it, status, log)

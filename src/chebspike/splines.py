@@ -10,7 +10,6 @@ data, and `integrate_from_spikes` inverts the map given left boundary data.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 from .chebyshev import SQRT2, endpoint_weight
-from .measures import DiscreteMeasure, moments
+from .measures import DiscreteMeasure
 
 SMOOTHNESS_TOL = 1e-9
 
@@ -219,12 +218,6 @@ def boundary_residual(f: NonUniformSpline, b: np.ndarray) -> float:
     return float(np.abs(boundary_vector(f) - np.asarray(b, dtype=float)).max())
 
 
-def spike_moments(f: NonUniformSpline, m: int) -> np.ndarray:
-    """Moments of the derivative measure computed directly from the atoms
-    (the oracle for the transfer identity)."""
-    return moments(distributional_derivative(f), m)
-
-
 def spline_to_dict(f: NonUniformSpline) -> dict:
     return {"degree": f.degree, "knots": f.knots.tolist(),
             "pieces": f.pieces.tolist()}
@@ -242,11 +235,3 @@ def spline_from_dict(obj: dict) -> NonUniformSpline:
     return NonUniformSpline(int(degree),
                             np.asarray(obj["knots"], dtype=float),
                             np.asarray(obj["pieces"], dtype=float))
-
-
-def spline_to_json(f: NonUniformSpline) -> str:
-    return json.dumps(spline_to_dict(f), sort_keys=True)
-
-
-def spline_from_json(text: str) -> NonUniformSpline:
-    return spline_from_dict(json.loads(text))

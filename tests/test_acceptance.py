@@ -22,7 +22,7 @@ from chebspike.diagnostics import (DEFAULT_CONSTANTS, global_control,
                                    local_control, localization_check,
                                    prediction_margin)
 from chebspike.measures import (DiscreteMeasure, hausdorff_arccos, moments,
-                                separation_ok, tv_norm)
+                                separation_ok)
 from chebspike.observation import lambda_rice, simulate
 from chebspike.splines import (boundary_vector, distributional_derivative,
                                integrate_from_spikes, moments_via_transfer,

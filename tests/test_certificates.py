@@ -5,13 +5,11 @@ import pytest
 
 from conftest import random_separated_measure
 
-from chebspike.certificates import (CERT_C0, CERT_C1, QIC, SIGN_INTERPOLANT,
+from chebspike.certificates import (QIC, SIGN_INTERPOLANT, SquaredFejerKernel,
                                     build_certificate, extraction_residual,
-                                    fejer_kernel_sq, odd_part_residual,
-                                    symmetrize_support,
+                                    odd_part_residual, symmetrize_support,
                                     trig_second_derivative_sup,
                                     verify_certificate)
-from chebspike.measures import separation_ok
 
 
 class TestSymmetrizeSupport:
@@ -44,20 +42,20 @@ class TestSymmetrizeSupport:
 
 class TestKernel:
     def test_value_at_zero(self):
-        assert fejer_kernel_sq(64).value(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert SquaredFejerKernel(64).value(0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_first_zero(self):
         m = 64
         n = m // 2 + 1
-        assert fejer_kernel_sq(m).value(1.0 / n) == pytest.approx(0.0, abs=1e-12)
+        assert SquaredFejerKernel(m).value(1.0 / n) == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative(self):
-        ker = fejer_kernel_sq(32)
+        ker = SquaredFejerKernel(32)
         ts = np.linspace(0.0, 1.0, 501)
         assert ker.value(ts).min() >= -1e-12
 
     def test_derivatives_match_finite_differences(self):
-        ker = fejer_kernel_sq(16)
+        ker = SquaredFejerKernel(16)
         h = 1e-5
         for t0 in (0.13, 0.37, 0.61):
             fd1 = (ker.value(t0 + h) - ker.value(t0 - h)) / (2 * h)
@@ -67,7 +65,7 @@ class TestKernel:
 
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
-            fejer_kernel_sq(63)
+            SquaredFejerKernel(63)
 
 
 class TestBuildCertificate:
@@ -144,9 +142,3 @@ class TestVerifyCertificate:
         dmin = np.abs(theta[:, None] - np.arccos(T)[None, :]).min(axis=1)
         bound = np.minimum(0.00848 * m ** 2 * dmin ** 2, 0.00879)
         assert np.all(1.0 - np.abs(q) >= bound - 1e-9)
-
-    def test_report_serializes(self):
-        cert = build_certificate([0.0], 64, SIGN_INTERPOLANT, anchor=0)
-        rep = verify_certificate(cert, [0.0], 64, 10 * 64)
-        text = rep.to_json()
-        assert "worst_margin" in text

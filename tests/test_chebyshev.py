@@ -171,7 +171,8 @@ class TestUnitLevelRoots:
             pts = unit_level_roots(p, lam, tol)
             if pts.size:
                 vals = np.abs(eval_poly(p, pts))
-                assert np.all(vals >= lam * (1.0 - 2.0 * tol))
+                # exactly the locator's own filter, which solve_blasso relies on
+                assert np.all(vals >= lam * (1.0 - tol))
 
 
 def squared_level_roots(p, level, tol, imag_tol=1e-3):

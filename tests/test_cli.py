@@ -2,7 +2,6 @@
 reproducibility, and exit codes."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +304,51 @@ class TestConfigErrors:
         assert f"'{key.removeprefix('base.')}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", sorted(cli.MODES))
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "abc"), ("seed", 1.5), ("seed", -1), ("seed", True),
+        ("seed", [1, 2]), ("seed", None), ("out_dir", 5), ("out_dir", ""),
+        ("out_dir", None), ("out_dir", ["o"])])
+    def test_bad_seed_and_out_dir(self, tmp_path, monkeypatch, mode, key,
+                                  value, capsys):
+        # seeds "abc", 1.5, -1 and out_dir 5 used to end in a traceback
+        # (exit 1); seeds true and [1, 2] ran quietly, and a null seed ran
+        # unseeded
+        monkeypatch.chdir(tmp_path)
+        spline = {"m": 8, "target": {"spline": spline_to_dict(demo_spline())}}
+        cfg = {"recover-spline": spline,
+               "recover-spikes": {"m": 8, "target": {"measure": measure_to_dict(
+                   DiscreteMeasure([0.2], [1.0]))}},
+               "rice-check": {"m": 8, "n_trials": 100},
+               "certificate": {"m": 16, "support": [0.1]},
+               "sweep": {"axis": "m", "values": [8], "base": spline}}[mode]
+        cfg = dict(cfg, out_dir="out")
+        cfg[key] = value
+        code = cli.main([mode, "--config", write_cfg(tmp_path, "c.json", cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["c.json"]
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = {"m": 8, "n_trials": 100, "out_dir": str(out)}
+        code = cli.main(["rice-check", "--config",
+                         write_cfg(tmp_path, "c.json", cfg), "--seed", "-1"])
+        assert code == cli.EXIT_CONFIG
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_seed_is_the_integer(self, tmp_path):
+        reports = []
+        for seed in (3, 3.0):
+            out = tmp_path / f"out{seed!r}"
+            cfg = {"m": 8, "n_trials": 100, "seed": seed, "out_dir": str(out)}
+            code = cli.main(["rice-check", "--config",
+                             write_cfg(tmp_path, "c.json", cfg)])
+            assert code == cli.EXIT_OK
+            reports.append((out / "rice_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_benchmark_and_ci_configs_accepted(self):
         # the keys of the benchmark's recover-spline cases and of the CI
         # runs; the CLI adds 'mode' and the flags' 'out_dir'
@@ -319,6 +363,17 @@ class TestConfigErrors:
                         "recover-spikes")
         cli._check_keys({"mode": "certificate", "m": 64, "n_points": 3,
                          "seed": 1, "out_dir": "o"}, "certificate")
+        cli._check_keys({"mode": "rice-check", "m": 32, "n_trials": 10_000,
+                         "seed": 1, "out_dir": "o"}, "rice-check")
+        cli._check_keys({"mode": "sweep", "axis": "lambda", "values": [0.01, 0.02],
+                         "seed": 1, "out_dir": "o",
+                         "base": {"mode": "recover-spikes", "m": 16,
+                                  "sigma": 1e-3, "target": {"random_measure": {
+                                      "n_spikes": 2, "min_amplitude": 0.8}}}},
+                        "sweep")
+        # the benchmark draws its seeds below 2^62
+        cli._check_keys({"m": 32, "seed": 2 ** 62 - 1, "out_dir": "o",
+                         "target": target}, "recover-spline")
 
     def test_real_fields_accepted(self, tmp_path):
         # integer values, a null lambda (calibrated) and sigma 0 (noiseless)

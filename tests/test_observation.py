@@ -1,5 +1,6 @@
 """Tests for observation assembly and the noise calibration formulas."""
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from chebspike.chebyshev import ChebPoly
 from chebspike.measures import DiscreteMeasure, moments
 from chebspike.observation import (Observation, assemble_y_from_projection,
                                    lambda_algorithm, lambda_rice,
-                                   observation_from_json, observation_to_json,
+                                   observation_from_dict, observation_to_dict,
                                    polynomial_from_theta, rice_tail_bound,
                                    scaled_sigma, simulate, theta_of_polynomial)
 from chebspike.splines import (NonUniformSpline, boundary_vector,
@@ -220,6 +221,6 @@ class TestRiceTailBound:
 class TestSerialization:
     def test_roundtrip(self):
         obs = Observation(np.arange(5.0), 1, 4, 0.25)
-        again = observation_from_json(observation_to_json(obs))
+        again = observation_from_dict(json.loads(json.dumps(observation_to_dict(obs))))
         np.testing.assert_array_equal(again.y, obs.y)
         assert (again.d, again.m, again.sigma) == (1, 4, 0.25)

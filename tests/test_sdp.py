@@ -167,7 +167,8 @@ class TestAgainstExternalSolver:
         obj = cvxpy.Minimize(obs.y @ alpha + 0.5 * cvxpy.sum_squares(alpha))
         ext = cvxpy.Problem(obj, cons)
         ext.solve(solver="CLARABEL")
-        assert mine.objective_value == pytest.approx(ext.value, abs=1e-7)
+        a = mine.free_vector
+        assert obs.y @ a + 0.5 * a @ a == pytest.approx(ext.value, abs=1e-7)
         # coefficient agreement is limited by the external solver's default
         # tolerance, not ours
         np.testing.assert_allclose(mine.free_vector, alpha.value, atol=2e-5)
@@ -343,7 +344,7 @@ class TestNumericalFloor:
         assert sol.iterations == 3
         assert sol.iteration_log[-1]["stop"] == "non-finite direction"
         assert all("stop" not in row for row in sol.iteration_log[:-1])
-        # the best iterate is the last one: feasible, its gap above tol
+        # the last iterate is returned: feasible, its gap above tol
         assert sol.status == sdp.SdpStatus.MAX_ITER
         assert sol.gap == sol.iteration_log[-1]["gap"] > 1e-9
 
@@ -363,7 +364,7 @@ class TestNumericalFloor:
         assert sol.iterations == 5
         assert sol.iteration_log[-1]["stop"] == "non-finite Schur complement"
         assert all("stop" not in row for row in sol.iteration_log[:-1])
-        # the best iterate is the last one: feasible, its gap above tol
+        # the last iterate is returned: feasible, its gap above tol
         assert sol.status == sdp.SdpStatus.MAX_ITER
         assert sol.gap == sol.iteration_log[-1]["gap"] > 1e-9
 
@@ -397,12 +398,35 @@ class TestNumericalFloor:
 class TestCholeskyJitter:
     def test_singular_psd_factors_with_jitter(self):
         M = np.ones((3, 3))
-        L = sdp._chol(M)
+        L, jittered = sdp._chol(M)
+        assert jittered
         assert np.abs(L @ L.T - M).max() <= 1e-13
+        L, jittered = sdp._chol(np.eye(3))
+        assert not jittered
+        np.testing.assert_array_equal(L, np.eye(3))
 
     def test_indefinite_raises(self):
         with pytest.raises(sdp.SdpError):
             sdp._chol(np.diag([1.0, -1.0]))
+
+    def test_log_counts_jitter(self, monkeypatch):
+        # one failed Cholesky call in the third iteration's NT scalings
+        # (eight calls per iteration at m = 8: X and Z of four halves) is
+        # retried with jitter, and only that row counts it
+        real = np.linalg.cholesky
+        calls = []
+
+        def failing(M):
+            calls.append(None)
+            if len(calls) == 2 * 8 + 3:
+                raise np.linalg.LinAlgError("made to fail")
+            return real(M)
+
+        prob = assembled(8, 0, 1.0)
+        monkeypatch.setattr(sdp.np.linalg, "cholesky", failing)
+        log = sdp.solve(prob, tol=1e-9).iteration_log
+        assert [row["jitter"] for row in log[:4]] == [0, 0, 1, 0]
+        assert sum(row["jitter"] for row in log) == 1
 
 
 SPECTRA = {"random": lambda rng, n: rng.uniform(0.1, 3.0, n),
@@ -438,7 +462,7 @@ class TestNtScaling:
     def test_scaling_identities(self, n, spectrum):
         rng = np.random.default_rng(n)
         X, Z = central_pair(rng, n, spectrum)
-        R, Rinv, W, sv = sdp._nt_scaling(X, Z)
+        (R, Rinv, W, sv), _ = sdp._nt_scaling(X, Z)
         assert max_rel((R * sv) @ R.T, X) <= 1e-13
         assert max_rel((Rinv.T * sv) @ Rinv, Z) <= 1e-13
         assert max_rel(W @ Z @ W, X) <= 1e-7
@@ -454,7 +478,7 @@ class TestMaxStep:
     def test_matches_cholesky_path(self, n, spectrum, bound):
         rng = np.random.default_rng(n + 1)
         X, Z = central_pair(rng, n, spectrum)
-        R, Rinv, W, sv = sdp._nt_scaling(X, Z)
+        (R, Rinv, W, sv), _ = sdp._nt_scaling(X, Z)
         for _ in range(3):
             E = rng.standard_normal((n, n))
             E = E + E.T
@@ -477,7 +501,7 @@ class TestMaxStep:
     def test_step_reaches_the_boundary(self, n, seed):
         rng = np.random.default_rng(seed)
         X, Z = central_pair(rng, n, "random")
-        R, Rinv, W, sv = sdp._nt_scaling(X, Z)
+        (R, Rinv, W, sv), _ = sdp._nt_scaling(X, Z)
         D = rng.standard_normal((n, n))
         D = D + D.T
         alpha = sdp._max_step(sv, Rinv @ D @ Rinv.T)
@@ -535,8 +559,8 @@ class TestCentrosymmetricHalves:
         # at the ill spectrum both paths are off the 60-digit W by about
         # 1e-9, so that is the agreement roundoff allows
         X, Z, pairs = centrosymmetric_pair(np.random.default_rng(n), n, spectrum)
-        W = sdp._nt_scaling(X, Z)[2]
-        Wh = sdp._join([sdp._nt_scaling(Xh, Zh)[2] for Xh, Zh in pairs])
+        W = sdp._nt_scaling(X, Z)[0][2]
+        Wh = sdp._join([sdp._nt_scaling(Xh, Zh)[0][2] for Xh, Zh in pairs])
         assert max_rel(Wh, W) <= bound
 
     @pytest.mark.parametrize("n", [2, 3, 33, 129])
@@ -544,8 +568,8 @@ class TestCentrosymmetricHalves:
     def test_max_step_is_the_minimum_over_halves(self, n, spectrum, bound):
         rng = np.random.default_rng(n + 2)
         X, Z, pairs = centrosymmetric_pair(rng, n, spectrum)
-        R, Rinv, W, sv = sdp._nt_scaling(X, Z)
-        scal = [sdp._nt_scaling(Xh, Zh) for Xh, Zh in pairs]
+        (R, Rinv, W, sv), _ = sdp._nt_scaling(X, Z)
+        scal = [sdp._nt_scaling(Xh, Zh)[0] for Xh, Zh in pairs]
         for _ in range(3):
             D = centrosymmetric(rng, n)
             D *= rng.uniform(0.5, 2.0) * np.abs(np.linalg.eigvalsh(X)).max() \

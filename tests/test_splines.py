@@ -1,5 +1,7 @@
 """Tests for non-uniform splines and the moment-transfer identity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from chebspike.measures import DiscreteMeasure, moments
 from chebspike.splines import (NonUniformSpline, boundary_residual,
                                boundary_vector, distributional_derivative,
                                integrate_from_spikes, moments_via_transfer,
-                               projection_vector, spline_from_json,
-                               spline_to_json, transfer_matrices)
+                               projection_vector, spline_from_dict,
+                               spline_to_dict, transfer_matrices)
 
 from conftest import random_spline
 
@@ -201,11 +203,11 @@ class TestSerialization:
     def test_roundtrip(self):
         rng = np.random.default_rng(8)
         f = random_spline(rng, 2, 2)
-        g = spline_from_json(spline_to_json(f))
+        g = spline_from_dict(json.loads(json.dumps(spline_to_dict(f))))
         assert g.degree == f.degree
         np.testing.assert_array_equal(g.knots, f.knots)
         np.testing.assert_allclose(g.pieces, f.pieces)
 
     def test_read_validates(self):
         with pytest.raises(ValueError):
-            spline_from_json('{"degree": 1, "knots": [0.0]}')
+            spline_from_dict({"degree": 1, "knots": [0.0]})
