@@ -95,27 +95,9 @@ class BlassoOptions:
 
 
 def assemble_dual_sdp(obs: Observation, lam: float) -> sdp.SdpProblem:
-    """The dual program (`sdp.SdpProblem`) of the observation at lam, with
-    the strictly feasible start the solve begins from.
-
-    Primal: both Gram matrices (lam/n) I and alpha = 0, so the trace rows
-    read lam and every subdiagonal row 0.  Dual: nu = -U e_0 on block 0, and
-    on block 1 the solution of F' nu = y, so that Z_0 = U I and
-    Z_1 = U I - T(y), T(y) the symmetric Toeplitz matrix with first column
-    (y_0, y_k / sqrt(2)).  U is 1 plus a Gershgorin bound of T(y), so
-    Z_1 - I is positive semidefinite.
-    """
-    n = obs.m + 1
-    # each row of |T(y)| holds |y_0| once and each |y_k| / sqrt(2) at most
-    # twice: the Gershgorin bound
-    U = 1.0 + abs(obs.y[0]) + np.sqrt(2.0) * np.abs(obs.y[1:]).sum()
-    nu = np.zeros(2 * n)
-    nu[0] = -U
-    nu[n:] = obs.y / sdp.trace_scale(n)
-    nu[n] -= U
-    return sdp.SdpProblem(lam=lam, y=obs.y.copy(), d=obs.d,
-                          start_psd=[np.eye(n) * (lam / n)] * 2,
-                          start_free=np.zeros(n), start_nu=nu)
+    """The dual program (`sdp.SdpProblem`) of the observation at lam; the
+    problem derives its strictly feasible start from lam and y."""
+    return sdp.SdpProblem(lam=lam, y=obs.y.copy(), d=obs.d)
 
 
 def fit_weights(support, obs: Observation, lam: float, signs):
@@ -330,12 +312,12 @@ def _stationarity_poly(measure: DiscreteMeasure, obs: Observation,
     return ChebPoly(beta)
 
 
-def verify_first_order(sol: PrimalSolution, lam: float | None = None) -> dict:
+def verify_first_order(sol: PrimalSolution) -> dict:
     """Residuals of the first-order conditions: the total-variation identity
     |lam*TV - sum a_i * p(t_i)|, the sup-norm overshoot max(0, sup|p| - lam)
     of the subgradient polynomial on a dense grid, and the residual of the
     exact-order moment constraints."""
-    lam = sol.lam if lam is None else lam
+    lam = sol.lam
     obs = sol.observation
     p = _stationarity_poly(sol.measure, obs, sol.multipliers)
     grid = cheb_grid(4 * max(obs.m, 1))

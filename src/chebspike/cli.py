@@ -146,6 +146,21 @@ def _real_list(val, what: str, bound: float = np.inf) -> np.ndarray:
     return np.array(val, dtype=float)
 
 
+def _read_json(path, what: str):
+    """The JSON value in the file at `path`; a path that is not a string, a
+    missing or unreadable file, or invalid JSON is a config error."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{what} must be a path string, got {path!r}")
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"{what} {path} does not exist") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} {path} cannot be read: {exc}") from exc
+
+
 def _check_keys(cfg: dict, mode: str) -> None:
     """Reject every key of `cfg` that `mode` does not read (MODE_KEYS), a
     'seed' that is not an integer >= 0 and an 'out_dir' that is not a
@@ -213,10 +228,8 @@ def _measure_from_target(cfg: dict, m: int, rng) -> DiscreteMeasure:
     if "measure" in target:
         return _parse_target(measure_from_dict, target["measure"])
     if "measure_file" in target:
-        path = Path(target["measure_file"])
-        if not path.exists():
-            raise ConfigError(f"measure file {path} does not exist")
-        return _parse_target(measure_from_dict, json.loads(path.read_text()))
+        return _parse_target(measure_from_dict,
+                             _read_json(target["measure_file"], "measure file"))
     if "random_measure" in target:
         spec_ = target["random_measure"]
         n = _int_field(spec_, "n_spikes", 3, minimum=0)
@@ -233,10 +246,8 @@ def _spline_from_target(cfg: dict, rng) -> NonUniformSpline:
     if "spline" in target:
         return _parse_target(spline_from_dict, target["spline"])
     if "spline_file" in target:
-        path = Path(target["spline_file"])
-        if not path.exists():
-            raise ConfigError(f"spline file {path} does not exist")
-        return _parse_target(spline_from_dict, json.loads(path.read_text()))
+        return _parse_target(spline_from_dict,
+                             _read_json(target["spline_file"], "spline file"))
     if "random_spline" in target:
         spec_ = target["random_spline"]
         d = _int_field(cfg, "d", minimum=0)
@@ -381,14 +392,8 @@ def run_certificate(cfg: dict) -> dict:
     if "support" in cfg:
         support = _real_list(cfg["support"], "support", bound=1.0)
     elif "support_file" in cfg:
-        path = Path(cfg["support_file"])
-        if not path.exists():
-            raise ConfigError(f"support file {path} does not exist")
-        try:
-            points = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"support file is not valid JSON: {exc}") from exc
-        support = _real_list(points, "support file", bound=1.0)
+        support = _real_list(_read_json(cfg["support_file"], "support file"),
+                             "support file", bound=1.0)
     else:
         support = random_separated_support(
             rng, _int_field(cfg, "n_points", 3, minimum=1), m)
@@ -485,6 +490,12 @@ def run_sweep(cfg: dict) -> dict:
     if mode == "recover-spikes" and (axis == "sigma0" or "sigma0" in base):
         raise ConfigError("a recover-spikes sweep cannot set 'sigma0'; "
                           "it applies to recover-spline only")
+    for key in ("seed", "out_dir"):
+        if key in base:
+            raise ConfigError(f"sweep 'base' cannot set {key!r}: the sweep "
+                              f"sets each run's seed (top-level seed + "
+                              f"index) and out_dir (run_<index> under its "
+                              f"own out_dir)")
     _check_keys(base, mode)
     out = _out_dir(cfg)
     seed = cfg.get("seed", 0)
@@ -520,8 +531,10 @@ def run_sweep(cfg: dict) -> dict:
                      summary.get("duality_gap_rel", float("nan")),
                      in_regime))
     write_csv(out / "sweep.csv", "sweep", rows)
+    # a row passes when its run completed and its report passed
     result = {"mode": "sweep", "axis": axis, "values": values,
               "rows": len(rows), "all_ok": all(r[3] for r in rows),
+              "passes": all(r[3] and r[8] for r in rows),
               "csv_schemas": {"sweep.csv": CSV_SCHEMAS["sweep"][0]}}
     write_json(out / "sweep.json", result)
     return result
@@ -580,15 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args) -> dict:
     cfg = {}
-    path = args.config
-    if path:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file {p} does not exist")
-        try:
-            cfg = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if args.config:
+        cfg = _read_json(args.config, "config file")
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
     mode = args.subcommand or args.mode or cfg.get("mode")

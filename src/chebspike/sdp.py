@@ -17,8 +17,8 @@ polynomial with Gram matrix X_b (the trace parameterization), so together
 |sum_k x_k phi_k| <= lam on [-1, 1].  Stacked, the 2n equality rows read
 A(X) + F x = h with h = lam (e_0 + e_n) and F = [-S; S], and the objective
 is (1/2) x' Q x + q' x with q = y and Q the 0/1 diagonal of the noisy
-orders.  `SdpProblem` holds lam, y, d and the start, and derives h, F and Q
-once.
+orders.  `SdpProblem` holds lam, y and d, and derives h, F, Q and the
+start once.
 
 The solver is a Nesterov-Todd scaled primal-dual path-following method with
 a Mehrotra predictor-corrector step.  Each Newton system is reduced to a
@@ -31,28 +31,28 @@ S^-1/2 (R^-1 dX R^-T) S^-1/2, and of Z the same with R' dZ R, so each needs
 one smallest eigenvalue and no factorization.  Intended for block
 dimensions up to a few hundred.
 
-The solve starts from a strictly feasible primal-dual point that comes with
-the problem (`SdpProblem.start_psd`, `start_free`, `start_nu`): X_b and
-Z_b = -A*(nu_b) positive definite, nu_b the multipliers of block b's rows,
-and r_p and r_d zero up to roundoff.  The program always has one in closed
-form (`blasso.assemble_dual_sdp`).  X and x move with the same primal step
-length, so r_p stays at roundoff on every iterate and the solver needs no
-infeasibility status or phase-one work (Vandenberghe & Boyd, SIAM Review
-1996, sections 6-7).  r_d does not stay there: x moves with the primal step
-length and nu with the dual one, so a step with unequal lengths puts part of
-the Newton correction back into r_d.
+The solve starts from a strictly feasible primal-dual point that the
+problem derives in closed form from lam and y (`SdpProblem.start_psd`,
+`start_free`, `start_nu`): X_b and Z_b = -A*(nu_b) positive definite, nu_b
+the multipliers of block b's rows, and r_p and r_d zero up to roundoff by
+construction.  X and x move with the same primal step length, so r_p stays
+at roundoff on every iterate and the solver needs no infeasibility status
+or phase-one work (Vandenberghe & Boyd, SIAM Review 1996, sections 6-7).
+r_d does not stay there: x moves with the primal step length and nu with
+the dual one, so a step with unequal lengths puts part of the Newton
+correction back into r_d.
 
 Every iterate is centrosymmetric (J X_b J = X_b, J Z_b J = Z_b, J the
 exchange matrix), so each block is carried as its halves on the even vectors
 (e_i + e_{n-1-i})/sqrt(2), plus e_mid for odd n, and on the odd vectors
 (e_i - e_{n-1-i})/sqrt(2): sizes ceil(n/2) and floor(n/2).  This symmetry
 reduction (Gatermann & Parrilo, J. Pure Appl. Algebra 2004) is exact here:
-every A_k is symmetric Toeplitz and commutes with J, the start is checked to
-be centrosymmetric, and the NT scaling, Z^-1, W r_c W and the corrector term
-are equivariant under M -> J M J.  The NT scalings, step lengths and updates
-run per half, about a quarter of the dense work of a full block; apply,
-adjoint and the Schur complement stay on the full blocks, reached by O(n^2)
-slicing (`_split`, `_join`).  The method is deterministic: identical inputs
+every A_k is symmetric Toeplitz and commutes with J, the start's X_b are
+multiples of I and its Z_b symmetric Toeplitz, and the NT scaling, Z^-1,
+W r_c W and the corrector term are equivariant under M -> J M J.  The NT
+scalings, step lengths and updates run per half, about a quarter of the
+dense work of a full block; apply, adjoint and the Schur complement stay on
+the full blocks, reached by O(n^2) slicing (`_split`, `_join`).  The method is deterministic: identical inputs
 produce identical iterates.
 
 Dual pair used internally (Z_b are the multipliers of the PSD constraints,
@@ -108,7 +108,7 @@ class SdpStatus(Enum):
 
 
 class SdpError(Exception):
-    """Malformed program data or start, or a failed solve."""
+    """Malformed program data, a start that overflows, or a failed solve."""
 
 
 def trace_scale(n: int) -> np.ndarray:
@@ -123,23 +123,25 @@ class SdpProblem:
     """The dual program of the module docstring: lam > 0, the moments y
     (length n = m + 1) and the last exact order d, -1 <= d < m.
 
-    The solve starts from (start_psd, start_free, start_nu): the Gram blocks
-    [X_0, X_1], the free vector x and the 2n equality multipliers nu of a
-    strictly feasible primal-dual point.  Each X_b and Z_b = -A*(nu_b) must
-    be positive definite and centrosymmetric, and r_p = h - A(X) - F x and
-    r_d = F' nu - Q x - y must vanish up to roundoff; otherwise SdpError.
-    h, F and Q are derived from lam, y and d.
+    h, F, Q and the strictly feasible start are derived from lam, y and d.
+    The start is (start_psd, start_free, start_nu): the Gram blocks
+    X_b = (lam/n) I, the free vector x = 0, and the 2n equality
+    multipliers nu: nu_0 = -U e_0 on block 0 and nu_1 = S^-1 y - U e_0 on
+    block 1, so that F' nu = y.  So Z_0 = U I and
+    Z_1 = U I - T(y), T(y) the symmetric Toeplitz matrix with first column
+    (y_0, y_k / sqrt(2)), and U is 1 plus a Gershgorin bound of T(y), so
+    Z_1 - I is positive semidefinite.
     """
 
     lam: float
     y: np.ndarray
     d: int
-    start_psd: list
-    start_free: np.ndarray
-    start_nu: np.ndarray
     h: np.ndarray = field(init=False, repr=False)
     F: np.ndarray = field(init=False, repr=False)
     Q: np.ndarray = field(init=False, repr=False)
+    start_psd: list = field(init=False, repr=False)
+    start_free: np.ndarray = field(init=False, repr=False)
+    start_nu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
@@ -154,44 +156,24 @@ class SdpProblem:
                                and -1 <= self.d < n - 1):
             raise SdpError("need a moment vector y and an exact order "
                            "-1 <= d < y.size - 1")
+        # each row of |T(y)| holds |y_0| once and each |y_k| / sqrt(2) at
+        # most twice: the Gershgorin bound
+        with np.errstate(over="ignore"):
+            U = 1.0 + abs(y[0]) + np.sqrt(2.0) * np.abs(y[1:]).sum()
+        if not np.isfinite(U):
+            raise SdpError("the start's Gershgorin bound of T(y) overflows")
         self.lam, self.y = lam, y
         self.h = np.zeros(2 * n)
         self.h[0] = self.h[n] = lam
         s = trace_scale(n)
         self.F = np.vstack([np.diag(-s), np.diag(s)])
         self.Q = np.diag((np.arange(n) > self.d).astype(float))
-        self._check_start()
-
-    def _check_start(self):
-        X = [np.asarray(Xb, dtype=float) for Xb in self.start_psd]
-        x = np.atleast_1d(np.asarray(self.start_free, dtype=float))
-        nu = np.atleast_1d(np.asarray(self.start_nu, dtype=float))
-        n = self.y.size
-        if ([Xb.shape for Xb in X] != [(n, n)] * 2 or x.shape != (n,)
-                or nu.shape != (2 * n,)):
-            raise SdpError("start shapes do not match the problem")
-        for name, vals in (("start_psd", X), ("start_free", [x]), ("start_nu", [nu])):
-            if not all(np.isfinite(v).all() for v in vals):
-                raise SdpError(f"{name} has non-finite entries")
-        blk = _ToeplitzBlock(n)
-        for M in X + [-blk.adjoint(nu[:n]), -blk.adjoint(nu[n:])]:
-            if not (np.array_equal(M, M.T) and np.array_equal(M, M[::-1, ::-1])):
-                raise SdpError("start blocks must be symmetric and centrosymmetric")
-            try:
-                np.linalg.cholesky(M)
-            except np.linalg.LinAlgError:
-                raise SdpError("start is not strictly feasible: a block of X "
-                               "or Z is not positive definite") from None
-        # each residual entry against the sum of the magnitudes of its terms
-        F, Q, y = self.F, self.Q, self.y
-        r_p = self.h - F @ x - np.concatenate([blk.apply(Xb) for Xb in X])
-        mag_p = (np.abs(self.h) + np.abs(F) @ np.abs(x)
-                 + np.concatenate([np.abs(blk.apply(np.abs(Xb))) for Xb in X]))
-        r_d = F.T @ nu - Q @ x - y
-        mag_d = np.abs(F.T) @ np.abs(nu) + Q @ np.abs(x) + np.abs(y)
-        if np.any(np.abs(r_p) > 1e-12 * mag_p) or np.any(np.abs(r_d) > 1e-12 * mag_d):
-            raise SdpError("start is not feasible: r_p or r_d above roundoff")
-        self.start_psd, self.start_free, self.start_nu = X, x, nu
+        self.start_psd = [np.eye(n) * (lam / n)] * 2
+        self.start_free = np.zeros(n)
+        self.start_nu = np.zeros(2 * n)
+        self.start_nu[0] = -U
+        self.start_nu[n:] = y / s
+        self.start_nu[n] -= U
 
 
 @dataclass

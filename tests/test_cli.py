@@ -349,6 +349,46 @@ class TestConfigErrors:
             reports.append((out / "rice_report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_sweep_base_seed_and_out_dir(self, tmp_path, monkeypatch, capsys):
+        # each used to be overwritten quietly by the sweep's own per-run
+        # value: no 'elsewhere' directory was made
+        monkeypatch.chdir(tmp_path)
+        base = {"mode": "recover-spikes", "m": 16, "sigma": 1e-3,
+                "target": {"random_measure": {"n_spikes": 2}}}
+        for key, value in (("seed", 5), ("out_dir", "elsewhere")):
+            cfg = {"axis": "lambda", "values": [0.01], "seed": 1,
+                   "out_dir": "out", "base": dict(base, **{key: value})}
+            code = cli.main(["sweep", "--config",
+                             write_cfg(tmp_path, "c.json", cfg)])
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"'{key}'" in err and "sets each run's seed" in err
+            assert [f.name for f in tmp_path.iterdir()] == ["c.json"]
+
+    def test_json_files_unreadable_or_invalid(self, tmp_path, capsys):
+        # a directory used to end in a traceback (exit 1) for every file,
+        # and so did invalid JSON in a measure_file or spline_file
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "bad.json").write_text('{"support": [0.1,')
+        out = str(tmp_path / "out")
+        for fault in ("missing.json", "adir", "bad.json"):
+            path = str(tmp_path / fault)
+            runs = [
+                ["recover-spikes", "--config", path],
+                ["recover-spikes", "--config", write_cfg(tmp_path, "m.json", {
+                    "m": 8, "out_dir": out, "target": {"measure_file": path}})],
+                ["recover-spline", "--config", write_cfg(tmp_path, "s.json", {
+                    "m": 8, "out_dir": out, "target": {"spline_file": path}})],
+                ["certificate", "--config", write_cfg(tmp_path, "c.json", {
+                    "m": 16, "out_dir": out, "support_file": path})]]
+            for argv in runs:
+                assert cli.main(argv) == cli.EXIT_CONFIG, (fault, argv)
+                assert fault in capsys.readouterr().err
+        # a path that is not a string used to raise TypeError (exit 1)
+        assert cli.main(["recover-spikes", "--config", write_cfg(tmp_path, "m.json", {
+            "m": 8, "out_dir": out, "target": {"measure_file": 5}})]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_benchmark_and_ci_configs_accepted(self):
         # the keys of the benchmark's recover-spline cases and of the CI
         # runs; the CLI adds 'mode' and the flags' 'out_dir'
@@ -607,6 +647,25 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].split(",")[3] == "True"
         assert lines[2].split(",")[3] == "False"
+        assert cli.main(["sweep", "--config", path, "--assert"]) == cli.EXIT_ASSERT
+
+
+    def test_assert_fails_on_a_failing_report(self, tmp_path):
+        # row 0 completes but its report fails (lambda far below the
+        # calibrated level): the sweep used to exit 0 under --assert
+        out = tmp_path / "out"
+        base = {"mode": "recover-spikes", "m": 16, "sigma": 1e-3,
+                "target": {"random_measure": {"n_spikes": 2,
+                                              "min_amplitude": 0.8}}}
+        cfg = {"axis": "lambda", "values": [1e-6, 1e-5], "base": base,
+               "seed": 1, "out_dir": str(out)}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert cli.main(["sweep", "--config", path]) == cli.EXIT_OK
+        rows = [line.split(",") for line in
+                (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(r[3], r[8]) for r in rows] == [("True", "False"), ("True", "True")]
+        result = json.loads((out / "sweep.json").read_text())
+        assert (result["all_ok"], result["passes"]) == (True, False)
         assert cli.main(["sweep", "--config", path, "--assert"]) == cli.EXIT_ASSERT
 
 

@@ -105,24 +105,26 @@ class TestSolutionInvariants:
 class TestValidation:
     def test_shape_checks(self):
         base = program([0.3, -0.2, 0.1], 1.0)
-        for bad in ({"y": base.y[None, :]}, {"d": 2}, {"d": -2}, {"d": 0.5},
-                    {"start_free": np.zeros(2)}, {"start_nu": np.zeros(5)},
-                    {"start_psd": [np.eye(3)]},
-                    {"start_psd": [np.eye(2), np.eye(2)]}):
+        for bad in ({"y": base.y[None, :]}, {"d": 2}, {"d": -2}, {"d": 0.5}):
             with pytest.raises(sdp.SdpError):
                 dataclasses.replace(base, **bad)
         with pytest.raises(ValueError, match="lam must be positive"):
             dataclasses.replace(base, lam=-1.0)
 
-    @pytest.mark.parametrize("key", ["lam", "y", "start_psd", "start_free",
-                                     "start_nu"])
+    @pytest.mark.parametrize("key", ["lam", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, key, bad):
         base = program([0.3], 1.0)
-        value = (bad if key == "lam" else [np.array([[bad]])] * 2
-                 if key == "start_psd" else np.full_like(getattr(base, key), bad))
+        value = bad if key == "lam" else np.full_like(base.y, bad)
         with pytest.raises(sdp.SdpError, match=f"{key} has non-finite"):
             dataclasses.replace(base, **{key: value})
+
+    def test_overflowing_start_rejected(self):
+        # finite moments whose Gershgorin bound U of T(y) overflows: the
+        # start cannot be formed
+        for y in ([1e308, 1e308], [1.0, 1.3e308]):
+            with pytest.raises(sdp.SdpError, match="Gershgorin bound"):
+                program(y, 1.0)
 
     def test_quadratic_objective_with_constraint(self):
         # m = 1, d = 0: minimize alpha_0 y_0 + alpha_1 y_1 + alpha_1^2 / 2.
@@ -229,23 +231,14 @@ class TestToeplitzAgainstSparse:
         assert sdp.solve(program([0.3, -0.5], lam), max_iter=80).status == status
 
 
-def with_diagonal(X, diag):
-    """X plus diag(diag): with entries summing to 0 the subdiagonal sums,
-    and so r_p, do not change."""
-    return [X[0] + np.diag(diag), X[1]]
-
-
-def shift_nu(prob, rows, c):
-    nu = prob.start_nu.copy()
-    nu[rows] += c
-    return nu
-
-
 class TestFeasibleStart:
     """Every assembled dual program carries a strictly feasible start, and
     the equality residual stays at roundoff from there on."""
 
-    @pytest.mark.parametrize("m,d,scale", ASSEMBLED)
+    # the start is the closed form of `SdpProblem`; this is its check, so it
+    # runs at y scales beyond the solves' as well
+    @pytest.mark.parametrize("m,d,scale", ASSEMBLED + [
+        (m, d, scale) for m, d, _ in ASSEMBLED[::2] for scale in (1e-4, 1e8)])
     def test_assembled_start_is_strictly_feasible(self, m, d, scale):
         prob = assembled(m, d, scale)
         n = m + 1
@@ -262,7 +255,10 @@ class TestFeasibleStart:
                 np.testing.assert_array_equal(M, M[::-1, ::-1])
         r_d = prob.F.T @ nu - prob.Q @ x - prob.y
         assert np.abs(r_p).max() <= 1e-13 * prob.lam
-        assert np.abs(r_d).max() <= 1e-13 * np.abs(prob.y).max()
+        # each entry of r_d against the magnitudes of its terms: the trace
+        # row cancels U >= 1, which exceeds |y| at small scales
+        mag_d = np.abs(prob.F.T) @ np.abs(nu) + np.abs(prob.y)
+        assert np.all(np.abs(r_d) <= 1e-13 * mag_d)
 
     @pytest.mark.parametrize("m,d,scale", ASSEMBLED)
     def test_equality_residual_stays_at_roundoff(self, m, d, scale):
@@ -277,51 +273,6 @@ class TestFeasibleStart:
             assert row["halvings"] in range(4)
         # no step is taken from the last iterate
         assert (log[-1]["ap"], log[-1]["ad"], log[-1]["halvings"]) == (0.0, 0.0, 0)
-
-    # each start perturbs the m = 8 program's, which has X_b = I / 9 and
-    # Z_0 = U I, U the negated first entry of nu
-    @pytest.mark.parametrize("start", [
-        # r_p = 0.1 on block 0's trace row
-        {"psd_diag": np.full(9, 0.1 / 9), "reason": "r_p"},
-        # X_0 has eigenvalue 1/9 - 0.2 < 0 with r_p = 0
-        {"psd_diag": [0.2, -0.2, 0, 0, 0, 0, 0, -0.2, 0.2],
-         "reason": "positive definite"},
-        # nu_0 and nu_1 both shifted by 2U e_0: F' nu is unchanged, Z_0 = -U I
-        {"nu_shift": 2.0, "reason": "positive definite"},
-        # the same shifted by U: Z_0 = 0
-        {"nu_shift": 1.0, "reason": "positive definite"},
-        # shape
-        {"reason": "shapes"},
-    ])
-    def test_bad_start_rejected(self, start):
-        prob = assembled(8, 0, 1.0)
-        if "psd_diag" in start:
-            changes = {"start_psd": with_diagonal(prob.start_psd, start["psd_diag"])}
-        elif "nu_shift" in start:
-            changes = {"start_nu": shift_nu(prob, [0, 9],
-                                            -start["nu_shift"] * prob.start_nu[0])}
-        else:
-            changes = {"start_nu": prob.start_nu[:-1]}
-        with pytest.raises(sdp.SdpError, match=start["reason"]):
-            dataclasses.replace(prob, **changes)
-
-    def test_start_must_be_centrosymmetric(self):
-        prob = assembled(8, 0, 1.0)
-        # traceless and diagonal, so r_p = 0, and X_0 stays positive definite
-        diag = np.zeros(9)
-        diag[:2] = [0.01, -0.01]
-        with pytest.raises(sdp.SdpError, match="centrosymmetric"):
-            dataclasses.replace(prob, start_psd=with_diagonal(prob.start_psd, diag))
-        diag[-2:] = [-0.01, 0.01]
-        dataclasses.replace(prob, start_psd=with_diagonal(prob.start_psd, diag))
-
-    def test_dual_residual_checked(self):
-        # a small shift of block 1's trace multiplier keeps Z_1 >= I - 0.01 I
-        # positive definite and moves F' nu off Q x + y
-        prob = assembled(8, 0, 1.0)
-        dataclasses.replace(prob, start_nu=shift_nu(prob, [9], 0.0))
-        with pytest.raises(sdp.SdpError, match="r_d"):
-            dataclasses.replace(prob, start_nu=shift_nu(prob, [9], 0.01))
 
 
 class TestNumericalFloor:
