@@ -31,16 +31,14 @@ S^-1/2 (R^-1 dX R^-T) S^-1/2, and of Z the same with R' dZ R, so each needs
 one smallest eigenvalue and no factorization.  Intended for block
 dimensions up to a few hundred.
 
-The solve starts from a strictly feasible primal-dual point that the
-problem derives in closed form from lam and y (`SdpProblem.start_psd`,
-`start_free`, `start_nu`): X_b and Z_b = -A*(nu_b) positive definite, nu_b
-the multipliers of block b's rows, and r_p and r_d zero up to roundoff by
-construction.  X and x move with the same primal step length, so r_p stays
-at roundoff on every iterate and the solver needs no infeasibility status
-or phase-one work (Vandenberghe & Boyd, SIAM Review 1996, sections 6-7).
-r_d does not stay there: x moves with the primal step length and nu with
-the dual one, so a step with unequal lengths puts part of the Newton
-correction back into r_d.
+The solve starts from the strictly feasible point that `SdpProblem`
+derives in closed form from lam and y: X_b and Z_b = -A*(nu_b) positive
+definite (nu_b the multipliers of block b's rows), r_p and r_d zero up to
+roundoff.  X and x move with the same primal step length, so r_p stays at
+roundoff on every iterate and the solver needs no infeasibility status or
+phase-one work (Vandenberghe & Boyd, SIAM Review 1996, sections 6-7).  r_d
+does not: nu moves with the dual step length, so a step with unequal
+lengths puts part of the Newton correction back into r_d.
 
 Every iterate is centrosymmetric (J X_b J = X_b, J Z_b J = Z_b, J the
 exchange matrix), so each block is carried as its halves on the even vectors
@@ -49,11 +47,15 @@ exchange matrix), so each block is carried as its halves on the even vectors
 reduction (Gatermann & Parrilo, J. Pure Appl. Algebra 2004) is exact here:
 every A_k is symmetric Toeplitz and commutes with J, the start's X_b are
 multiples of I and its Z_b symmetric Toeplitz, and the NT scaling, Z^-1,
-W r_c W and the corrector term are equivariant under M -> J M J.  The NT
-scalings, step lengths and updates run per half, about a quarter of the
-dense work of a full block; apply, adjoint and the Schur complement stay on
-the full blocks, reached by O(n^2) slicing (`_split`, `_join`).  The method is deterministic: identical inputs
-produce identical iterates.
+W r_c W and the corrector term are equivariant under M -> J M J.  Both
+blocks' halves of one parity have the same size, so each parity is one
+(2, k, k) stack, block 0 first (X[0] the even halves, X[1] the odd): the NT
+scalings and updates make one batched call per parity, at a quarter of a
+full block's dense work.  Batching is exact, as numpy runs a
+batched `cholesky`, `svd` or `matmul` as the same LAPACK or BLAS call per
+slice.  Apply, adjoint and the Schur FFT stay on the full blocks, reached
+by O(n^2) slicing (`_split`, `_join`); the step-length `dsyevr` and the
+inner products run per half.  Identical inputs give identical iterates.
 
 Dual pair used internally (Z_b are the multipliers of the PSD constraints,
 nu of the equalities)::
@@ -74,20 +76,17 @@ leaving the symmetric quasi-definite system
     [ F'  -Q ] [dx ] = [ -r_d      ],       H_b[k, l] = tr(A_k W_b A_l W_b),
 
 with D_b the right-hand side of the dX relation above.  Each step writes
-H_0 and H_1 into the diagonal blocks of the matrix on the left, whose F and
--Q parts are set once per solve, and factors it by one unregularized LU; an
-exactly zero pivot makes the direction non-finite, which ends the solve as
-below.
+H_0 and H_1 into the matrix on the left, whose F and -Q parts are set once
+per solve, and factors it by one unregularized LU; an exactly zero pivot
+makes the direction non-finite, which ends the solve as below.
 
-While the complementarity gap and residuals generally decrease monotonically,
-a step that would increase the combined merit (relative gap plus relative
-residuals) more than tenfold is halved up to three times before being
-accepted; this is the safeguard referred to in the iteration log, which
-records each step's lengths `ap`, `ad` and its number of `halvings`.  The
-row's `jitter` counts the Cholesky factors of that step's NT scalings that
-needed a diagonal shift (`_chol`).  A vanishing gap, a non-finite Schur
-complement or a non-finite Newton direction ends the solve at the numerical
-floor, named under `stop` in the last log row.
+A step that would raise the merit (relative gap plus relative residuals)
+more than tenfold is halved up to three times before it is taken.  Each
+iteration-log row records the step lengths `ap`, `ad`, its `halvings`, and
+under `jitter` how many of its NT-scaling Cholesky factors needed a
+diagonal shift (`_chol`).  A vanishing gap, a non-finite Schur complement
+or a non-finite Newton direction ends the solve at the numerical floor,
+named under `stop` in the last log row.
 """
 
 from __future__ import annotations
@@ -99,6 +98,7 @@ from enum import Enum
 import numpy as np
 import scipy.fft as sfft
 import scipy.linalg as sla
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dsyevr
 
 
@@ -189,26 +189,31 @@ class _ToeplitzBlock:
     """The trace map of an n x n block: apply(X)_k = <A_k, X>, the k-th
     subdiagonal sum, with A_k = (E_k + E_-k) / 2 and E_d the ones where
     row - column = d; adjoint(v) = sum_k v_k A_k; schur(W)[k, l] =
-    tr(A_k W A_l W).  One instance serves both blocks."""
+    tr(A_k W A_l W).  One instance serves both blocks, and apply and
+    adjoint also take the stack of both (X of shape (2, n, n), v (2, n))."""
 
     def __init__(self, n: int):
         self.n = n
         idx = np.arange(n)
-        # X.ravel()[a] lies on the diagonal row - column = offset[a] - (n-1)
-        self.offset = (idx[:, None] - idx[None, :] + n - 1).ravel()
+        # X.ravel()[a] lies on the diagonal row - column = offset[a] - (n-1);
+        # row b sends block b of a stack to its own 2n-1 bins
+        offset = (idx[:, None] - idx[None, :] + n - 1).ravel()
+        self.offset = offset + (2 * n - 1) * np.arange(2)[:, None]
         # lags run over -(n-1) .. n-1, so any FFT size >= 2n-1 is exact
         self.fft_len = sfft.next_fast_len(2 * n - 1, real=True)
         self.neg = -idx % self.fft_len
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        n = self.n
-        s = np.bincount(self.offset, weights=X.ravel(), minlength=2 * n - 1)
-        return 0.5 * (s[n - 1:] + s[n - 1::-1])
+        n, nb = self.n, X.size // self.n ** 2
+        s = np.bincount(self.offset[:nb].ravel(), X.ravel()).reshape(X.shape[:-2] + (-1,))
+        return 0.5 * (s[..., n - 1:] + s[..., n - 1::-1])
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         t = 0.5 * v
-        t[0] *= 2.0
-        return sla.toeplitz(t)
+        t[..., 0] *= 2.0
+        # entry (i, j) is t[|i - j|] = c[n - 1 - i + j], c = (t[n-1:0:-1], t)
+        c = np.concatenate([t[..., :0:-1], t], axis=-1)
+        return sliding_window_view(c, self.n, axis=-1)[..., ::-1, :].copy()
 
     def schur(self, W: np.ndarray) -> np.ndarray:
         """tr(E_d W E_e W) = c[d, -e] with c the 2-D autocorrelation of W;
@@ -222,29 +227,32 @@ class _ToeplitzBlock:
 
 
 def _nt_scaling(X: np.ndarray, Z: np.ndarray):
-    """NT scaling point: returns ((R, Rinv, W, sv), jitter) with W Z W = X,
-    X = R diag(sv) R' and Z = Rinv' diag(sv) Rinv, and jitter the number
-    of the two Cholesky factors that needed it (`_chol`)."""
+    """NT scaling point of each pair in the stacks X, Z: ((R, Rinv, W, sv),
+    jitter) with W Z W = X, X = R diag(sv) R' and Z = Rinv' diag(sv) Rinv,
+    and jitter the number of Cholesky factors that needed a shift (`_chol`)."""
     (Lx, jx), (Lz, jz) = _chol(X), _chol(Z)
-    U, sv, Vt = np.linalg.svd(Lz.T @ Lx)
-    sq = np.sqrt(sv)
-    R = Lx @ (Vt.T / sq[None, :])
-    Rinv = (U / sq[None, :]).T @ Lz.T
-    W = R @ R.T
-    return (R, Rinv, 0.5 * (W + W.T), sv), jx + jz
+    U, sv, Vt = np.linalg.svd(Lz.swapaxes(-1, -2) @ Lx)
+    sq = np.sqrt(sv)[..., None, :]
+    R = Lx @ (Vt.swapaxes(-1, -2) / sq)
+    Rinv = (U / sq).swapaxes(-1, -2) @ Lz.swapaxes(-1, -2)
+    W = R @ R.swapaxes(-1, -2)
+    return (R, Rinv, 0.5 * (W + W.swapaxes(-1, -2)), sv), jx + jz
 
 
 def _chol(M: np.ndarray):
-    """(L, jittered): the Cholesky factor of M, retried on M + s I with s
-    1e-14, 1e-13, then 1e-12 times the mean diagonal of M until one
-    factors; jittered tells whether a shift was needed."""
+    """(L, jitter): the Cholesky factor of each matrix of the stack M, and
+    how many of them needed a shift.  The stack is factored in one call; if
+    that fails, each matrix is factored alone, retried on M + s I with s
+    1e-14, 1e-13, then 1e-12 times its mean diagonal until one factors."""
     jitter = 0.0
-    base = np.trace(M) / M.shape[0]
     for _ in range(4):
         try:
-            return np.linalg.cholesky(M + jitter * np.eye(M.shape[0])), jitter > 0.0
+            return np.linalg.cholesky(M + jitter * np.eye(M.shape[-1])), int(jitter > 0.0)
         except np.linalg.LinAlgError:
-            jitter = max(1e-14 * base, 10.0 * jitter)
+            if M.ndim > 2:
+                L, jitters = zip(*map(_chol, M))
+                return np.stack(L), sum(jitters)
+            jitter = max(1e-14 * (np.trace(M) / M.shape[0]), 10.0 * jitter)
     raise SdpError("block lost positive definiteness")
 
 
@@ -260,50 +268,54 @@ def _kkt_solve(lu, K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _max_step(sv: np.ndarray, Dt: np.ndarray) -> float:
-    """sup alpha with diag(sv) + alpha Dt psd, for sv > 0: the step to the
-    boundary of a block in the NT-scaled space (Dt = Rinv dX Rinv' for X,
-    R' dZ R for Z)."""
+    """sup alpha with diag(sv) + alpha Dt psd, for sv > 0, and for every
+    pair of a stack: the step to the boundary of the blocks in the NT-scaled
+    space (Dt = Rinv dX Rinv' for X, R' dZ R for Z)."""
     s = 1.0 / np.sqrt(sv)
-    S = s[:, None] * Dt * s[None, :]
+    S = s[..., :, None] * Dt * s[..., None, :]
+    S = 0.5 * (S + S.swapaxes(-1, -2))
+    w_min = np.inf
     # LAPACK directly: at half sizes near 16 the scipy.linalg.eigh wrapper
     # costs more than the eigenvalue (36 against 16 us at n = 17)
-    w, _, _, _, info = dsyevr(0.5 * (S + S.T), compute_v=0, range="I", il=1, iu=1,
-                              overwrite_a=1)
-    if info != 0:
-        raise SdpError(f"step-length eigenvalue failed (LAPACK info {info})")
-    return np.inf if w[0] >= 0.0 else -1.0 / w[0]
+    for Sb in S.reshape((-1,) + S.shape[-2:]):
+        w, _, _, _, info = dsyevr(Sb, compute_v=0, range="I", il=1, iu=1, overwrite_a=1)
+        if info != 0:
+            raise SdpError(f"step-length eigenvalue failed (LAPACK info {info})")
+        w_min = min(w_min, w[0])
+    return np.inf if w_min >= 0.0 else -1.0 / w_min
 
 
 def _split(M: np.ndarray) -> list:
-    """Halves of a centrosymmetric M (J M J = M, J the exchange matrix) in
-    the orthonormal basis (e_i +- e_{n-1-i}) / sqrt(2), plus e_mid for odd n:
-    [even (ceil(n/2) square), odd (floor(n/2) square)], or [M] for n = 1.
-    Only the first ceil(n/2) rows of M are read."""
-    n = M.shape[0]
+    """Halves of a centrosymmetric M (J M J = M, J the exchange matrix), or
+    of each in a stack, in the orthonormal basis (e_i +- e_{n-1-i}) / sqrt(2)
+    plus e_mid for odd n: [even (ceil(n/2) square), odd (floor(n/2) square)],
+    or [M] for n = 1.  Only the first ceil(n/2) rows of M are read."""
+    n = M.shape[-1]
     h = n // 2
-    A, B = M[:h, :h], M[:h, :n - h - 1:-1]
-    Me = np.empty((n - h, n - h))
-    Me[:h, :h] = A + B
+    A, B = M[..., :h, :h], M[..., :h, :n - h - 1:-1]
+    Me = np.empty(M.shape[:-2] + (n - h, n - h))
+    Me[..., :h, :h] = A + B
     if n % 2:
-        Me[:h, h] = np.sqrt(2.0) * M[:h, h]
-        Me[h, :h] = np.sqrt(2.0) * M[h, :h]
-        Me[h, h] = M[h, h]
+        Me[..., :h, h] = np.sqrt(2.0) * M[..., :h, h]
+        Me[..., h, :h] = np.sqrt(2.0) * M[..., h, :h]
+        Me[..., h, h] = M[..., h, h]
     return [Me, A - B] if h else [Me]
 
 
 def _join(halves: list) -> np.ndarray:
-    """The centrosymmetric n x n matrix with the given `_split` halves."""
-    Me, Mo = halves[0], halves[1] if len(halves) > 1 else np.empty((0, 0))
-    h = Mo.shape[0]
-    n = Me.shape[0] + h
-    A, B = 0.5 * (Me[:h, :h] + Mo), 0.5 * (Me[:h, :h] - Mo)
-    M = np.empty((n, n))
-    M[:h, :h], M[:h, n - h:] = A, B[:, ::-1]
-    M[n - h:, :h], M[n - h:, n - h:] = B[::-1], A[::-1, ::-1]
+    """The centrosymmetric n x n matrix (or stack) with the `_split` halves."""
+    Me = halves[0]
+    Mo = halves[1] if len(halves) > 1 else np.empty(Me.shape[:-2] + (0, 0))
+    h = Mo.shape[-1]
+    n = Me.shape[-1] + h
+    A, B = 0.5 * (Me[..., :h, :h] + Mo), 0.5 * (Me[..., :h, :h] - Mo)
+    M = np.empty(Me.shape[:-2] + (n, n))
+    M[..., :h, :h], M[..., :h, n - h:] = A, B[..., ::-1]
+    M[..., n - h:, :h], M[..., n - h:, n - h:] = B[..., ::-1, :], A[..., ::-1, ::-1]
     if n % 2:
-        M[:h, h] = M[:n - h - 1:-1, h] = Me[:h, h] / np.sqrt(2.0)
-        M[h, :h] = M[h, :n - h - 1:-1] = Me[h, :h] / np.sqrt(2.0)
-        M[h, h] = Me[h, h]
+        M[..., :h, h] = M[..., :n - h - 1:-1, h] = Me[..., :h, h] / np.sqrt(2.0)
+        M[..., h, :h] = M[..., h, :n - h - 1:-1] = Me[..., h, :h] / np.sqrt(2.0)
+        M[..., h, h] = Me[..., h, h]
     return M
 
 
@@ -316,10 +328,13 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     fall below tol, and returns it as SOLVED.  Otherwise it returns the last
     iterate as MAX_ITER: the iteration limit was reached, or the solve
     stopped at the numerical floor.  `gap` is the largest of those four
-    relative measures at the returned iterate.
+    relative measures at the returned iterate.  tol must be finite and
+    positive, max_iter an integer >= 1.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if type(max_iter) is bool or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
     n = prob.y.size
     p = 2 * n
@@ -334,40 +349,27 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     Q = prob.Q * (s_var / s_obj)
     q = prob.y / s_obj
 
-    def A(full):
-        """A(X) of both blocks, stacked as the 2n equality rows."""
-        return np.concatenate([blk.apply(Xb) for Xb in full])
+    def inner(X, Z):  # the sum of <X_b, Z_b>, half by half, block 0 first
+        return sum(float(np.dot(Xp[b].ravel(), Zp[b].ravel()))
+                   for b in range(2) for Xp, Zp in zip(X, Z))
 
-    def A_adj(v):
-        """A*(v_b) of each block's rows."""
-        return [blk.adjoint(v[:n]), blk.adjoint(v[n:])]
-
-    # every iterate is centrosymmetric (see the module docstring), so each
-    # block is carried as its k `_split` halves: X, Z list both blocks'
-    # halves, block 0's first
-    k = min(n, 2)
-
-    def split(full):
-        return [Mh for M in full for Mh in _split(M)]
-
-    def join(halves):
-        return [_join(halves[:k]), _join(halves[k:])]
-
-    # the start in the scaled coordinates: X, x over s_var, and nu over
-    # s_obj, which makes Z_b = -A*(nu_b) the original Z_b / s_obj
-    X = split([Xb / s_var for Xb in prob.start_psd])
+    # X, Z and every per-half array are lists over parity of both blocks'
+    # stacked halves, full blocks and rows are stacks of both blocks.  The
+    # start in the scaled coordinates: X, x over s_var, and nu over s_obj,
+    # which makes Z_b = -A*(nu_b) the original Z_b / s_obj
+    X = _split(np.stack(prob.start_psd) / s_var)
     x = prob.start_free / s_var
     nu = prob.start_nu / s_obj
-    Z = split([-a for a in A_adj(nu)])
+    Z = _split(-blk.adjoint(nu.reshape(2, n)))
 
     def measures(X, Z, x, nu):
         """Residuals, complementarity and relative measures of an iterate;
         r_c is returned as halves, its measure taken on the full blocks."""
-        r_p = h - F @ x - A(join(X))
+        r_p = h - F @ x - blk.apply(_join(X)).ravel()
         r_d = F.T @ nu - Q @ x - q
-        Zf = join(Z)
-        r_c = [-a - Zb for a, Zb in zip(A_adj(nu), Zf)]
-        gap = sum(float(np.tensordot(Xh, Zh)) for Xh, Zh in zip(X, Z))
+        Zf = _join(Z)
+        r_c = -blk.adjoint(nu.reshape(2, n)) - Zf
+        gap = inner(X, Z)
         xQx = 0.5 * x @ Q @ x
         pobj = xQx + q @ x
         dobj = h @ nu - xQx
@@ -375,12 +377,12 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
                "gap": gap / (1.0 + abs(pobj) + abs(dobj)),
                "rp": np.abs(r_p).max() / (1.0 + np.abs(h).max()),
                "rd": np.abs(r_d).max() / (1.0 + np.abs(q).max()),
-               "rc": max(np.abs(rc).max() / (1.0 + np.abs(Zb).max())
-                         for rc, Zb in zip(r_c, Zf))}
+               "rc": (np.abs(r_c).max(axis=(1, 2))
+                      / (1.0 + np.abs(Zf).max(axis=(1, 2)))).max()}
         rel["all"] = max(rel["rp"], rel["rd"], rel["rc"], abs(rel["gap"]))
         # the step safeguard's merit
         rel["merit"] = rel["gap"] + rel["rp"] + rel["rd"]
-        return r_p, r_d, split(r_c), gap, rel
+        return r_p, r_d, _split(r_c), gap, rel
 
     # the KKT matrix [[H, F], [F', -Q]]; each step rewrites only the
     # diagonal blocks H_0, H_1 of H
@@ -405,10 +407,10 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             log[-1]["stop"] = "numerical floor"
             break
 
-        # NT scalings per half, Schur complement per full block
-        scal, jitter = zip(*[_nt_scaling(Xh, Zh) for Xh, Zh in zip(X, Z)])
+        # NT scalings per parity, Schur complement per full block
+        scal, jitter = zip(*[_nt_scaling(Xp, Zp) for Xp, Zp in zip(X, Z)])
         log[-1]["jitter"] = sum(jitter)
-        for b, W in enumerate(join([sc[2] for sc in scal])):
+        for b, W in enumerate(_join([sc[2] for sc in scal])):
             Hb = blk.schur(W)
             K[b * n:(b + 1) * n, b * n:(b + 1) * n] = 0.5 * (Hb + Hb.T)
         if not np.all(np.isfinite(K[:p, :p])):
@@ -422,7 +424,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             lu = sla.lu_factor(K, check_finite=False)
 
         # the parts of the dX relation that do not depend on sigma
-        Zinv = [(R / sv[None, :]) @ R.T for R, Rinv, W, sv in scal]
+        Zinv = [(R / sv[..., None, :]) @ R.swapaxes(-1, -2) for R, Rinv, W, sv in scal]
         WrW = [W @ rc @ W for (R, Rinv, W, sv), rc in zip(scal, r_c)]
 
         def newton(sigma_mu, corr):
@@ -431,20 +433,18 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             D = [sigma_mu * Zi - Xh - wrw for Zi, Xh, wrw in zip(Zinv, X, WrW)]
             if corr is not None:
                 D = [Dh - ch for Dh, ch in zip(D, corr)]
-            rhs = np.concatenate([r_p - A(join(D)), -r_d])
+            rhs = np.concatenate([r_p - blk.apply(_join(D)).ravel(), -r_d])
             sol = _kkt_solve(lu, K, rhs)
             if not np.all(np.isfinite(sol)):
                 return None
             dnu, dx = sol[:p], sol[p:]
-            Adnu = split(A_adj(dnu))
+            Adnu = _split(blk.adjoint(dnu.reshape(2, n)))
             dZ = [rc - a for rc, a in zip(r_c, Adnu)]
-            dX = []
-            for Dh, a, (R, Rinv, W, sv) in zip(D, Adnu, scal):
-                M = Dh + W @ a @ W
-                dX.append(0.5 * (M + M.T))
+            dX = [Dh + W @ a @ W for Dh, a, (R, Rinv, W, sv) in zip(D, Adnu, scal)]
+            dX = [0.5 * (M + M.swapaxes(-1, -2)) for M in dX]
             # the direction in the NT-scaled space, where step lengths are taken
-            dXt = [Rinv @ dxh @ Rinv.T for (R, Rinv, W, sv), dxh in zip(scal, dX)]
-            dZt = [R.T @ dzh @ R for (R, Rinv, W, sv), dzh in zip(scal, dZ)]
+            dXt = [Ri @ dxh @ Ri.swapaxes(-1, -2) for (R, Ri, W, sv), dxh in zip(scal, dX)]
+            dZt = [R.swapaxes(-1, -2) @ dzh @ R for (R, Ri, W, sv), dzh in zip(scal, dZ)]
             ap = min(_max_step(sc[3], Dt) for sc, Dt in zip(scal, dXt))
             ad = min(_max_step(sc[3], Dt) for sc, Dt in zip(scal, dZt))
             return dX, dZ, dx, dnu, dXt, dZt, ap, ad
@@ -456,12 +456,12 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             break
         dXa, dZa, _, _, dXt, dZt, ap, ad = step
         ap, ad = min(1.0, ap), min(1.0, ad)
-        gap_aff = sum(float(np.tensordot(Xh + ap * dxh, Zh + ad * dzh))
-                      for Xh, dxh, Zh, dzh in zip(X, dXa, Z, dZa))
+        gap_aff = inner([Xh + ap * dxh for Xh, dxh in zip(X, dXa)],
+                        [Zh + ad * dzh for Zh, dzh in zip(Z, dZa)])
         sigma = min(0.999, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
 
         # corrector with second-order term in the scaled space
-        corr = [R @ (0.5 * (xt @ zt + zt @ xt)) @ R.T
+        corr = [R @ (0.5 * (xt @ zt + zt @ xt)) @ R.swapaxes(-1, -2)
                 for (R, Rinv, W, sv), xt, zt in zip(scal, dXt, dZt)]
         # the predictor's arrays would raise the corrector's peak memory
         del dXa, dZa, dXt, dZt, step

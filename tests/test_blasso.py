@@ -112,6 +112,15 @@ class TestSolveBlasso:
         assert sol.measure.is_empty
         assert sol.kkt_residuals["tv_identity_gap"] == 0.0
 
+    def test_solver_options_that_cannot_mean_what_they_say(self):
+        obs = noiseless_obs(DiscreteMeasure([0.0], [2.0]), 16)
+        for tol in (np.inf, np.nan, 0.0):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                solve_blasso(obs, 0.3, BlassoOptions(sdp_tol=tol))
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+                solve_blasso(obs, 0.3, BlassoOptions(sdp_max_iter=max_iter))
+
     def test_single_atom_exact_recovery(self):
         x = DiscreteMeasure([0.0], [2.0])
         sol = solve_blasso(noiseless_obs(x, 16), 1e-6)

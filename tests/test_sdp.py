@@ -119,6 +119,23 @@ class TestValidation:
         with pytest.raises(sdp.SdpError, match=f"{key} has non-finite"):
             dataclasses.replace(base, **{key: value})
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-9])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            sdp.solve(program([0.3, -0.5], 0.4), tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 1.5, True, "5"])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            sdp.solve(program([0.3, -0.5], 0.4), max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        prob = program([0.3, -0.5], 0.4)
+        want = sdp.solve(prob, max_iter=80)
+        got = sdp.solve(prob, max_iter=np.int64(80))
+        np.testing.assert_array_equal(got.free_vector, want.free_vector)
+        assert got.status == sdp.SdpStatus.SOLVED
+
     def test_overflowing_start_rejected(self):
         # finite moments whose Gershgorin bound U of T(y) overflows: the
         # start cannot be formed
@@ -174,16 +191,6 @@ class TestAgainstExternalSolver:
         # coefficient agreement is limited by the external solver's default
         # tolerance, not ours
         np.testing.assert_allclose(mine.free_vector, alpha.value, atol=2e-5)
-
-
-def psd_matrix(rng, n, eigenvalues):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    W = (Q * eigenvalues) @ Q.T
-    return 0.5 * (W + W.T)
-
-
-def max_rel(a, b):
-    return np.abs(a - b).max() / np.abs(b).max()
 
 
 def psd_matrix(rng, n, eigenvalues):
@@ -361,15 +368,17 @@ class TestCholeskyJitter:
             sdp._chol(np.diag([1.0, -1.0]))
 
     def test_log_counts_jitter(self, monkeypatch):
-        # one failed Cholesky call in the third iteration's NT scalings
-        # (eight calls per iteration at m = 8: X and Z of four halves) is
-        # retried with jitter, and only that row counts it
+        # the third iteration's NT scalings make four stacked Cholesky calls
+        # at m = 8 (X and Z of each parity, both blocks at once).  Its third
+        # call fails, and so does the unshifted retry of the stack's first
+        # slice: that slice is factored with jitter, and only that row
+        # counts it
         real = np.linalg.cholesky
-        calls = []
+        shapes = []
 
         def failing(M):
-            calls.append(None)
-            if len(calls) == 2 * 8 + 3:
+            shapes.append(M.shape)
+            if len(shapes) in (2 * 4 + 3, 2 * 4 + 4):
                 raise np.linalg.LinAlgError("made to fail")
             return real(M)
 
@@ -378,6 +387,18 @@ class TestCholeskyJitter:
         log = sdp.solve(prob, tol=1e-9).iteration_log
         assert [row["jitter"] for row in log[:4]] == [0, 0, 1, 0]
         assert sum(row["jitter"] for row in log) == 1
+        # the failed stack, the slice's two tries, the other slice
+        assert shapes[2 * 4 + 2:2 * 4 + 6] == [(2, 4, 4), (4, 4), (4, 4), (4, 4)]
+        assert shapes[:2 * 4 + 2] == [(2, 5, 5), (2, 5, 5), (2, 4, 4), (2, 4, 4)] * 2 \
+            + [(2, 5, 5)] * 2
+
+    def test_nt_scaling_counts_each_shifted_factor(self):
+        # X and Z both singular: two shifted factors, counted as an int
+        _, jitter = sdp._nt_scaling(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+        assert jitter == 2 and type(jitter) is int
+        X = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+        _, jitter = sdp._nt_scaling(X, X[::-1].copy())
+        assert jitter == 2 and type(jitter) is int
 
 
 SPECTRA = {"random": lambda rng, n: rng.uniform(0.1, 3.0, n),
@@ -537,3 +558,86 @@ class TestCentrosymmetricHalves:
     def test_non_finite_step_direction_raises(self):
         with pytest.raises(sdp.SdpError):
             sdp._max_step(np.ones(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+STACK_SIZES = [1, 2, 3, 33, 129]
+
+
+def stacked_pairs(rng, k, spectrum="random"):
+    """Stacks X, Z of two central pairs of size k, as `solve` carries one
+    parity's halves of both blocks."""
+    pairs = [central_pair(rng, k, spectrum) for _ in range(2)]
+    return np.stack([X for X, Z in pairs]), np.stack([Z for X, Z in pairs])
+
+
+class TestStackedHalves:
+    """Each helper run on a stack of two returns exactly what it returns on
+    each slice alone, so that stacking both blocks of a parity leaves every
+    iterate's bits as they are."""
+
+    @pytest.mark.parametrize("n", STACK_SIZES)
+    def test_split_and_join(self, n):
+        rng = np.random.default_rng(n)
+        M = np.stack([centrosymmetric(rng, n) for _ in range(2)])
+        halves = sdp._split(M)
+        assert len(halves) == min(n, 2)
+        for b in range(2):
+            for got, want in zip(halves, sdp._split(M[b]), strict=True):
+                np.testing.assert_array_equal(got[b], want)
+            np.testing.assert_array_equal(sdp._join(halves)[b],
+                                          sdp._join([h[b] for h in halves]))
+
+    @pytest.mark.parametrize("n", STACK_SIZES)
+    def test_apply_and_adjoint(self, n):
+        rng = np.random.default_rng(n)
+        blk = sdp._ToeplitzBlock(n)
+        X = rng.standard_normal((2, n, n))
+        v = rng.standard_normal((2, n))
+        idx = np.arange(n)
+        offset = (idx[:, None] - idx[None, :] + n - 1).ravel()
+        for b in range(2):
+            np.testing.assert_array_equal(blk.apply(X)[b], blk.apply(X[b]))
+            np.testing.assert_array_equal(blk.adjoint(v)[b], blk.adjoint(v[b]))
+            # against the one-block paths the stacked ones replaced: one
+            # bincount per block, and scipy's Toeplitz constructor
+            s = np.bincount(offset, weights=X[b].ravel(), minlength=2 * n - 1)
+            np.testing.assert_array_equal(blk.apply(X[b]),
+                                          0.5 * (s[n - 1:] + s[n - 1::-1]))
+            t = 0.5 * v[b]
+            t[0] *= 2.0
+            np.testing.assert_array_equal(blk.adjoint(v[b]), sla.toeplitz(t))
+
+    @pytest.mark.parametrize("n", STACK_SIZES)
+    def test_chol(self, n):
+        X, _ = stacked_pairs(np.random.default_rng(n), n)
+        L, jitter = sdp._chol(X)
+        assert jitter == 0
+        for b in range(2):
+            np.testing.assert_array_equal(L[b], sdp._chol(X[b])[0])
+        if n == 1:
+            return   # the only singular 1 x 1 matrix is 0, which no shift fixes
+        # a singular slice takes the per-matrix retry; only it is shifted
+        X[1] = np.ones((n, n))
+        L, jitter = sdp._chol(X)
+        assert jitter == 1 and type(jitter) is int
+        for b in range(2):
+            np.testing.assert_array_equal(L[b], sdp._chol(X[b])[0])
+
+    @pytest.mark.parametrize("n", STACK_SIZES)
+    @pytest.mark.parametrize("spectrum", ["random", "ill"])
+    def test_nt_scaling_and_max_step(self, n, spectrum):
+        rng = np.random.default_rng(n + 3)
+        X, Z = stacked_pairs(rng, n, spectrum)
+        scal, jitter = sdp._nt_scaling(X, Z)
+        assert jitter == 0
+        per_slice = [sdp._nt_scaling(X[b], Z[b])[0] for b in range(2)]
+        for b, want in enumerate(per_slice):
+            for got, w in zip(scal, want, strict=True):
+                np.testing.assert_array_equal(got[b], w)
+        R, Rinv, W, sv = scal
+        for _ in range(3):
+            D = rng.standard_normal((2, n, n))
+            D = D + D.swapaxes(-1, -2)
+            for Dt in (Rinv @ D @ Rinv.swapaxes(-1, -2), R.swapaxes(-1, -2) @ D @ R):
+                assert sdp._max_step(sv, Dt) == min(
+                    sdp._max_step(sv[b], Dt[b]) for b in range(2))
