@@ -10,12 +10,14 @@ computed through its conic dual
 where the sup-norm constraint is expressed with two PSD Gram blocks via the
 trace parameterization of nonnegative cosine polynomials.  The support of
 the recovered measure is read off the level set |dual polynomial| = lam.
-One refinement stage follows: a sign-consistent weight fit with the exact
-low-order moments as constraints, damped Newton steps on weights, positions
-and multipliers jointly with the analytic Hessian of the fixed-sign
-Lagrangian (the joint amplitude-position update of the sliding Frank-Wolfe
-step), and a last weight fit at the refined positions.  First-order
-optimality is verified a posteriori.
+One refinement stage follows: a weight fit with the exact low-order
+moments as constraints (`fit_weights`: it drops the sign-inconsistent atoms
+or, only when none is left, those below the amplitude floor, and refits),
+damped Newton steps on weights, positions and multipliers jointly with the
+analytic Hessian of the fixed-sign Lagrangian (the joint amplitude-position
+update of the sliding Frank-Wolfe step; `_lagrangian_newton` builds every
+fixed-sign KKT system), and a last weight fit at the refined positions.
+First-order optimality is verified a posteriori.
 
 When the dual polynomial is the constant +-lam the level set is the whole
 interval and the optimal measure need not be unique: any one-sign measure
@@ -100,10 +102,15 @@ def assemble_dual_sdp(obs: Observation, lam: float) -> sdp.SdpProblem:
     return sdp.SdpProblem(lam=lam, y=obs.y.copy(), d=obs.d)
 
 
-def fit_weights(support, obs: Observation, lam: float, signs):
+def fit_weights(support, obs: Observation, lam: float, signs,
+                floor: float = 0.0):
     """Weights for fixed support: minimize the noisy-order residual plus
-    lam * sum s_i a_i subject to exact low-order moments, dropping atoms
-    whose fitted weight disagrees with its sign until consistent.
+    lam * sum s_i a_i subject to exact low-order moments.  Each pass solves
+    the fixed-sign KKT system (`_lagrangian_newton` with no free position)
+    and drops every atom whose weight disagrees with its sign or, only when
+    none does, every atom whose weight is below the floor; it stops when a
+    pass drops nothing.  The order matters: an atom under the floor may
+    rise above it once a sign-inconsistent neighbour is gone.
 
     Returns (weights, multipliers, kept_mask); multipliers are the
     equality-constraint duals for orders 0..d (empty when d = -1).
@@ -112,51 +119,42 @@ def fit_weights(support, obs: Observation, lam: float, signs):
     signs = np.atleast_1d(np.asarray(signs, dtype=float))
     if support.size == 0:
         raise ValueError("support must be nonempty")
-    m, d = obs.m, obs.d
-    n_eq = d + 1
+    d, n_eq = obs.d, obs.d + 1
     keep = np.ones(support.size, dtype=bool)
     # each pass returns or drops at least one atom
     while True:
-        pts = support[keep]
-        s = signs[keep]
-        Phi = phi_matrix(pts, m)
-        Phi_lo, Phi_hi = Phi[:n_eq], Phi[n_eq:]
-        y_lo, y_hi = obs.y[:n_eq], obs.y[n_eq:]
-        if n_eq and pts.size >= n_eq:
-            rank = np.linalg.matrix_rank(Phi_lo)
+        pts, s = support[keep], signs[keep]
+        n, fixed = pts.size, np.zeros(pts.size, dtype=bool)
+        g, K = _lagrangian_newton(pts, np.zeros(n), np.zeros(n_eq), s, fixed,
+                                  obs, lam)
+        if n_eq and n >= n_eq:
+            rank = np.linalg.matrix_rank(K[n:, :n])
             if rank < n_eq:
                 raise BlassoError(
                     f"equality moment rows 0..{d} are rank deficient "
                     f"(rank {rank}) on the candidate support")
-        G = Phi_hi.T @ Phi_hi
-        K = np.zeros((pts.size + n_eq, pts.size + n_eq))
-        K[:pts.size, :pts.size] = G
-        K[:pts.size, pts.size:] = Phi_lo.T
-        K[pts.size:, :pts.size] = Phi_lo
-        rhs = np.concatenate([Phi_hi.T @ y_hi - lam * s, y_lo])
         # minimum-norm least squares: exact in the well-posed case, and it
         # keeps the multipliers finite when the constraints outnumber the
         # atoms (the system is then singular but consistent at the optimum)
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+        sol, *_ = np.linalg.lstsq(K, -g, rcond=None)
         # one step of iterative refinement against the residual form of the
         # stationarity rows, which the first-order checks evaluate
-        a, mult = sol[:pts.size], sol[pts.size:]
-        res = np.concatenate([Phi_hi.T @ (y_hi - Phi_hi @ a) - lam * s
-                              - Phi_lo.T @ mult, y_lo - Phi_lo @ a])
-        sol = sol + np.linalg.lstsq(K, res, rcond=None)[0]
+        g = _lagrangian_newton(pts, sol[:n], sol[n:], s, fixed, obs, lam,
+                               hessian=False)
+        sol = sol + np.linalg.lstsq(K, -g, rcond=None)[0]
         if not np.all(np.isfinite(sol)):
             raise BlassoError(
                 f"weight-fit system on orders 0..{d} produced non-finite "
                 f"values on the candidate support")
-        a = sol[:pts.size]
-        mult = sol[pts.size:]
-        bad = s * a <= 0.0
-        if not bad.any():
+        a, mult = sol[:n], sol[n:]
+        drop = s * a <= 0.0
+        if not drop.any():
+            drop = np.abs(a) < floor
+        if not drop.any():
             out = np.zeros(support.size)
             out[keep] = a
             return out, mult, keep
-        idx = np.nonzero(keep)[0][bad]
-        keep[idx] = False
+        keep[np.nonzero(keep)[0][drop]] = False
         if not keep.any():
             return np.zeros(support.size), np.zeros(n_eq), keep
 
@@ -175,23 +173,6 @@ def _phi_deriv_matrices(points, m: int):
     d1[0, :] = 0.0
     d2[0, :] = 0.0
     return d1, d2
-
-
-def _fit_above_floor(support, obs: Observation, lam: float, signs,
-                     floor: float):
-    """Sign-consistent weight fit, refitted without the atoms whose weight
-    falls below the amplitude floor until none does.  Returns (support,
-    weights, multipliers, signs) of the last fit; the support is empty when
-    no atom survives."""
-    t = np.atleast_1d(np.asarray(support, dtype=float))
-    s = np.atleast_1d(np.asarray(signs, dtype=float))
-    while True:
-        a, mult, keep = fit_weights(t, obs, lam, s)
-        t, a, s = t[keep], a[keep], s[keep]
-        big = np.abs(a) >= floor
-        if big.all() or not big.any():
-            return t[big], a[big], mult, s[big]
-        t, s = t[big], s[big]
 
 
 def _lagrangian_newton(t, a, nu, s, free, obs: Observation, lam: float,
@@ -234,14 +215,15 @@ def _refine_support(support, obs: Observation, lam: float, signs,
     `_lagrangian_newton`), solved by least squares so that more exact orders
     than atoms (a singular but consistent system) still gives a step, and
     halved until the equilibrated gradient norm decreases (the stage stops
-    when three halvings do not).  Position steps
-    are capped at 0.25/m; atoms at an endpoint or at the interior cap keep
-    their position.  The stage starts and ends with the sign-consistent
-    weight fit above the amplitude floor, so the exact moments hold to fit
-    accuracy and no atom is dropped after the last fit.  Returns (support,
-    weights); both are empty when a fit keeps no atom.
+    when three halvings do not).  Position steps are capped at 0.25/m; atoms
+    at an endpoint or at the interior cap keep their position.  The stage
+    starts and ends with the weight fit above the amplitude floor
+    (`fit_weights`), so the exact moments hold to fit accuracy and no atom
+    is dropped after the last fit.  Returns (support, weights); both are
+    empty when a fit keeps no atom.
     """
-    t, a, nu, s = _fit_above_floor(support, obs, lam, signs, floor)
+    a, nu, keep = fit_weights(support, obs, lam, signs, floor)
+    t, a, s = support[keep], a[keep], signs[keep]
     if t.size == 0:
         return t, a
     max_move = 0.25 / max(obs.m, 1)
@@ -276,27 +258,24 @@ def _refine_support(support, obs: Observation, lam: float, signs,
         # would be at the roundoff floor
         if np.abs(dt).max() <= 1e-9:
             break
-    t, a, _, _ = _fit_above_floor(t, obs, lam, s, floor)
-    return t, a
+    a, _, keep = fit_weights(t, obs, lam, s, floor)
+    return t[keep], a[keep]
 
 
 def _anchored_multipliers(measure: DiscreteMeasure, obs: Observation,
                           lam: float, alpha_lo: np.ndarray) -> np.ndarray:
-    """Exact-order multipliers closest to the dual solution's low-order
-    coefficients among those that interpolate the subgradient values at the
-    atoms.  When the atoms outnumber the exact orders the interpolation pins
-    the multipliers uniquely; otherwise the leftover freedom is resolved
-    toward the dual coefficients, whose polynomial is feasible, keeping the
-    sup-norm overshoot of the subgradient polynomial at solver accuracy."""
-    d = obs.d
-    if d < 0 or measure.is_empty:
-        return np.zeros(d + 1)
-    Phi = phi_matrix(measure.support, obs.m)
-    r = Phi[d + 1:] @ measure.weights - obs.y[d + 1:]
-    s = np.sign(measure.weights)
-    b = -(lam * s + r @ Phi[d + 1:])
-    A = Phi[:d + 1].T                      # (n_atoms, d+1)
-    corr, *_ = np.linalg.lstsq(A, b - A @ alpha_lo, rcond=None)
+    """Exact-order multipliers (d >= 0, nonempty measure) closest to the
+    dual solution's low-order coefficients among those that interpolate the
+    subgradient values at the atoms.  When the atoms outnumber the exact
+    orders the interpolation pins the multipliers uniquely; otherwise the
+    leftover freedom is resolved toward the dual coefficients, whose
+    polynomial is feasible, keeping the sup-norm overshoot of the
+    subgradient polynomial at solver accuracy."""
+    w, n = measure.weights, len(measure)
+    # the gradient's weight rows at nu = alpha_lo, and H[:n, n:] = Phi_lo^T
+    g, H = _lagrangian_newton(measure.support, w, alpha_lo, np.sign(w),
+                              np.zeros(n, dtype=bool), obs, lam)
+    corr, *_ = np.linalg.lstsq(H[:n, n:], -g[:n], rcond=None)
     return alpha_lo + corr
 
 

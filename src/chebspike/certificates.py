@@ -28,6 +28,10 @@ from .measures import separation_ok
 CERT_C0 = 2.0 * np.pi * 0.1649
 CERT_C1 = 0.00424
 CERT_C2 = 0.25
+# a certificate passes when it interpolates its targets to EQ_TOL and every
+# certified inequality holds to MARGIN_TOL
+EQ_TOL = 1e-8
+MARGIN_TOL = -1e-9
 
 SIGN_INTERPOLANT = "sign_interpolant"
 QIC = "qic"
@@ -200,9 +204,9 @@ class CertificateReport:
     margins: dict
     worst_margin: float
 
-    def passes(self, eq_tol: float = 1e-8, margin_tol: float = -1e-9) -> bool:
-        return (self.interpolation_residual <= eq_tol
-                and self.worst_margin >= margin_tol)
+    def passes(self) -> bool:
+        return (self.interpolation_residual <= EQ_TOL
+                and self.worst_margin >= MARGIN_TOL)
 
 
 def verify_certificate(cert: Certificate, support, m: int,

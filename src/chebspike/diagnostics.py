@@ -146,13 +146,11 @@ def recovery_report(x_hat: DiscreteMeasure, x: DiscreteMeasure, lam: float,
         prediction_margin=margin, lam=lam, m=m)
 
 
-def spline_jump_report(f_hat, f, lam: float, m: int,
-                       lam0: float | None = None) -> RecoveryReport:
+def spline_jump_report(f_hat, f, lam: float, m: int) -> RecoveryReport:
     """Recovery report for splines: the derivative-jump measures play the
     role of the spike amplitudes."""
     from .splines import distributional_derivative
     if f_hat.degree != f.degree:
         raise ValueError("spline degrees differ")
     return recovery_report(distributional_derivative(f_hat),
-                           distributional_derivative(f), lam, m,
-                           lam0=lam0)
+                           distributional_derivative(f), lam, m)

@@ -309,6 +309,52 @@ class TestFitWeights:
         with pytest.raises(BlassoError, match="rows 0..1"):
             fit_weights([0.3, 0.3], obs, 0.1, [1.0, 1.0])
 
+    def test_sign_drops_come_before_floor_drops(self):
+        # the first solve puts the atom at -0.06 against its sign and the
+        # one at 0.0 under the floor; with -0.06 gone the latter refits
+        # above the floor, so a pass that dropped both at once would lose it
+        x = DiscreteMeasure([-0.5, 0.0, 0.4], [-1.0, 0.151, 1.2])
+        obs = noiseless_obs(x, 12)
+        t = np.array([-0.5, -0.06, 0.0, 0.4])
+        s = np.array([-1.0, -1.0, 1.0, 1.0])
+        P = phi_matrix(t, 12)
+        a0 = np.linalg.solve(P.T @ P, P.T @ obs.y - 1e-3 * s)
+        assert s[1] * a0[1] < 0.0
+        assert 0.0 < a0[2] < 0.15
+        w, _, keep = fit_weights(t, obs, 1e-3, s, floor=0.15)
+        np.testing.assert_array_equal(t[keep], [-0.5, 0.0, 0.4])
+        assert w[2] >= 0.15
+
+    def test_floor_equals_refitting_above_it(self):
+        # the one loop makes the same fits, in the same order, as refitting
+        # the sign-consistent fit without its atoms under the floor until
+        # none is, so every weight and multiplier is the same bit for bit
+        def refit_above(t, obs, lam, s, floor):
+            idx = np.arange(t.size)
+            while True:
+                a, mult, keep = fit_weights(t[idx], obs, lam, s[idx])
+                idx, a = idx[keep], a[keep]
+                big = np.abs(a) >= floor
+                if big.all() or not big.any():
+                    return idx[big], a[big], mult
+                idx = idx[big]
+
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            m, d = int(rng.integers(8, 17)), int(rng.integers(-1, 2))
+            x = DiscreteMeasure(np.sort(rng.uniform(-0.9, 0.9, 3)),
+                                rng.uniform(0.05, 1.5, 3) * rng.choice([-1, 1], 3))
+            obs = simulate(x, m, d, 1e-3, seed=int(rng.integers(1000)))
+            t = np.sort(rng.uniform(-0.95, 0.95, int(rng.integers(3, 7))))
+            s = rng.choice([-1.0, 1.0], t.size)
+            lam, floor = 10.0 ** rng.uniform(-4, -2), rng.uniform(0.0, 0.5)
+            idx, a, mult = refit_above(t, obs, lam, s, floor)
+            w, nu, keep = fit_weights(t, obs, lam, s, floor)
+            np.testing.assert_array_equal(np.nonzero(keep)[0], idx)
+            np.testing.assert_array_equal(w[keep], a)
+            if idx.size:
+                np.testing.assert_array_equal(nu, mult)
+
 
 class TestRefineSupport:
     @pytest.mark.parametrize("d, lam", [(-1, 0.0), (-1, 1e-3), (0, 1e-3), (4, 1e-3)])

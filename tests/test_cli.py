@@ -501,6 +501,35 @@ class TestRecoverSpikes:
                          + (out / "spikes.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_prediction_probes_do_not_replay_the_noise(self, tmp_path,
+                                                       monkeypatch):
+        # the noise and the random test polynomials both derive from the
+        # run's seed; the first probe must not be the noise over sigma
+        from chebspike import diagnostics
+        from chebspike.measures import moments
+        seeds = []
+        margin = diagnostics.prediction_margin
+
+        def spy(*args):
+            seeds.append(args[6])
+            return margin(*args)
+
+        monkeypatch.setattr(diagnostics, "prediction_margin", spy)
+        out = tmp_path / "out"
+        x = DiscreteMeasure([-0.4, 0.3], [1.0, -2.0])
+        cfg = {"m": 16, "d": -1, "sigma": 1e-3, "seed": 7,
+               "prediction_trials": 4, "out_dir": str(out),
+               "target": {"measure": measure_to_dict(x)}}
+        assert cli.main(["recover-spikes", "--config",
+                         write_cfg(tmp_path, "c.json", cfg)]) == cli.EXIT_OK
+        y = json.loads((out / "observation.json").read_text())["y"]
+        noise = (np.array(y) - moments(x, 16)) / 1e-3
+        # prediction_margin's probes are the first draws of its generator
+        probe = np.random.default_rng(seeds[0]).standard_normal((4, 17))[0]
+        assert np.abs(probe - noise).max() > 0.1
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["prediction_margin"] is not None
+
 
 class TestRecoverSpline:
     def test_noiseless_recovers_knots(self, tmp_path):
