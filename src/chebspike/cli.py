@@ -204,9 +204,15 @@ def _out_dir(cfg: dict) -> Path:
 def random_separated_support(rng, n_points: int, m: int,
                              margin: float = 1.1, max_tries: int = 20000):
     """Rejection-sample a support satisfying the separation condition with
-    the given slack factor."""
+    the given slack factor.  A config error when a gap above pi leaves no
+    room for even one point."""
     gap = margin * 5.0 * np.pi / m
     lo, hi = gap / 2.0, np.pi - gap / 2.0
+    if lo > hi:
+        if n_points:
+            raise ConfigError(f"no separated point fits at m={m}: the arccos "
+                              f"gap {gap:.4g} exceeds pi")
+        return np.empty(0)
     for _ in range(max_tries):
         theta = np.sort(rng.uniform(lo, hi, n_points))
         pts = np.cos(theta)[::-1]

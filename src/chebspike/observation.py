@@ -13,7 +13,7 @@ from numpy.polynomial import legendre as nplegendre
 
 from .chebyshev import ChebPoly
 from .measures import DiscreteMeasure, moments
-from .splines import _phi_deriv_cheb, moments_via_transfer
+from .splines import _phi_deriv_cheb, _phi_deriv_family, moments_via_transfer
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,7 @@ def polynomial_from_theta(theta: np.ndarray, m: int, d: int) -> ChebPoly:
     if theta.shape != (n,):
         raise ValueError(f"theta must have length m-d = {n}")
     x, w = nplegendre.leggauss(n)
-    fam = np.zeros((n, n))
-    for j, k in enumerate(range(d + 1, m + 1)):
-        fam[:j + 1, j] = _phi_deriv_cheb(k, d + 1)
+    fam = _phi_deriv_family(m, d)
     px = np.linalg.solve(npcheb.chebval(x, fam), theta) / w
     return ChebPoly.from_chebyshev_t(
         np.linalg.solve(npcheb.chebvander(x, n - 1), px))

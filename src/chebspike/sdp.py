@@ -81,25 +81,29 @@ per solve, and factors it by one unregularized LU; an exactly zero pivot
 makes the direction non-finite, which ends the solve as below.
 
 A step that would raise the merit (relative gap plus relative residuals)
-more than tenfold is halved up to three times before it is taken.  Each
-iteration-log row records the step lengths `ap`, `ad`, its `halvings`, and
-under `jitter` how many of its NT-scaling Cholesky factors needed a
-diagonal shift (`_chol`).  A vanishing gap, a non-finite Schur complement
+more than tenfold is halved up to three times before it is taken.  A step
+is also halved when the blocks it reaches do not factor (`_chol`, which
+retries with jitter): near the optimum the blocks' smallest eigenvalues
+sit at roundoff, and a step can leave one slightly negative.  The accepted
+step's factors serve the next NT scaling, so no block is factored twice;
+an iterate at which the solve ends is not factored.  Each iteration-log
+row records the step lengths `ap`, `ad`, its `halvings`, under
+`indefinite` how many of those halvings were for a block that did not
+factor, and under `jitter` how many of its NT-scaling Cholesky factors
+needed a diagonal shift.  A vanishing gap, a non-finite Schur complement
 or a non-finite Newton direction ends the solve at the numerical floor,
-named under `stop` in the last log row.
+and a step whose last halving still does not factor ends it at the
+current iterate; each is named under `stop` in the last log row.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 import scipy.fft as sfft
-import scipy.linalg as sla
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dsyevr
+from scipy.linalg.lapack import dgetrf, dgetrs, dsyevr
 
 
 class SdpStatus(Enum):
@@ -209,11 +213,18 @@ class _ToeplitzBlock:
         return 0.5 * (s[..., n - 1:] + s[..., n - 1::-1])
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """The symmetric Toeplitz matrix (or stack) with entry (i, j) equal
+        to t[|i - j|], t = (v_0, v_1 / 2, ..., v_{n-1} / 2).  The extension
+        c = (t_{n-1}, ..., t_1, t) holds t[|k|] at n - 1 + k, which is where
+        `offset` sends entry (i, j), k = i - j, and its row b points into
+        block b's 2n - 1 entries: so one `np.take` through the table that
+        `apply` scatters by gathers the whole stack, with no second index
+        table kept (a table of |i - j| cost n^2 more indices per solve)."""
+        n = self.n
         t = 0.5 * v
         t[..., 0] *= 2.0
-        # entry (i, j) is t[|i - j|] = c[n - 1 - i + j], c = (t[n-1:0:-1], t)
         c = np.concatenate([t[..., :0:-1], t], axis=-1)
-        return sliding_window_view(c, self.n, axis=-1)[..., ::-1, :].copy()
+        return np.take(c, self.offset[:v.size // n]).reshape(v.shape[:-1] + (n, n))
 
     def schur(self, W: np.ndarray) -> np.ndarray:
         """tr(E_d W E_e W) = c[d, -e] with c the 2-D autocorrelation of W;
@@ -226,11 +237,13 @@ class _ToeplitzBlock:
         return 0.5 * (c[:, :n] + c[:, self.neg])
 
 
-def _nt_scaling(X: np.ndarray, Z: np.ndarray):
+def _nt_scaling(X: np.ndarray, Z: np.ndarray, factors=None):
     """NT scaling point of each pair in the stacks X, Z: ((R, Rinv, W, sv),
     jitter) with W Z W = X, X = R diag(sv) R' and Z = Rinv' diag(sv) Rinv,
-    and jitter the number of Cholesky factors that needed a shift (`_chol`)."""
-    (Lx, jx), (Lz, jz) = _chol(X), _chol(Z)
+    and jitter the number of Cholesky factors that needed a shift (`_chol`).
+    `factors` are the `_chol` results of X and Z, when the caller already
+    has them."""
+    (Lx, jx), (Lz, jz) = factors or (_chol(X), _chol(Z))
     U, sv, Vt = np.linalg.svd(Lz.swapaxes(-1, -2) @ Lx)
     sq = np.sqrt(sv)[..., None, :]
     R = Lx @ (Vt.swapaxes(-1, -2) / sq)
@@ -247,7 +260,8 @@ def _chol(M: np.ndarray):
     jitter = 0.0
     for _ in range(4):
         try:
-            return np.linalg.cholesky(M + jitter * np.eye(M.shape[-1])), int(jitter > 0.0)
+            shifted = M + jitter * np.eye(M.shape[-1]) if jitter else M
+            return np.linalg.cholesky(shifted), int(jitter > 0.0)
         except np.linalg.LinAlgError:
             if M.ndim > 2:
                 L, jitters = zip(*map(_chol, M))
@@ -257,13 +271,17 @@ def _chol(M: np.ndarray):
 
 
 def _kkt_solve(lu, K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve K sol = rhs from the LU factors of K with two steps of
-    iterative refinement.  Non-finite values are passed through, not
-    raised, for the caller to treat as the numerical floor."""
-    sol = sla.lu_solve(lu, rhs, check_finite=False)
+    """Solve K sol = rhs from the LU factors (lu, piv) of K that `dgetrf`
+    returns, with two steps of iterative refinement.  Non-finite values are
+    passed through, not raised, for the caller to treat as the numerical
+    floor.  LAPACK's `dgetrf` (in `solve`) and `dgetrs` are called
+    directly: they are the calls that scipy.linalg.lu_factor and lu_solve
+    make, and at n = 33 the wrappers cost more than the solve (21 against
+    6 us for the 99 x 99 K)."""
+    sol = dgetrs(*lu, rhs)[0]
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(2):
-            sol += sla.lu_solve(lu, rhs - K @ sol, check_finite=False)
+            sol += dgetrs(*lu, rhs - K @ sol)[0]
     return sol
 
 
@@ -326,10 +344,11 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     the scaled coordinates.  It stops at the first iterate whose relative
     equality residual, dual residual, complementarity residual and gap all
     fall below tol, and returns it as SOLVED.  Otherwise it returns the last
-    iterate as MAX_ITER: the iteration limit was reached, or the solve
-    stopped at the numerical floor.  `gap` is the largest of those four
-    relative measures at the returned iterate.  tol must be finite and
-    positive, max_iter an integer >= 1.
+    iterate as MAX_ITER: the iteration limit was reached, the solve
+    stopped at the numerical floor, or no halving of a step kept the blocks
+    positive definite.  `gap` is the largest of those four relative
+    measures at the returned iterate.  tol must be finite and positive,
+    max_iter an integer >= 1.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -389,10 +408,22 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     K = np.zeros((p + n, p + n))
     K[:p, p:], K[p:, :p], K[p:, p:] = F, F.T, -Q
 
+    def ends(meas):
+        """Whether the solve stops at this iterate: it is solved, or at
+        the numerical floor."""
+        gap, rel = meas[3], meas[4]
+        return (rel["all"] <= tol or gap <= 0.0
+                or gap / p < 1e-17 * (1.0 + abs(rel["pobj"])))
+
+    def factor(X, Z):
+        """The `_chol` results of X and Z, parity by parity."""
+        return [(_chol(Xp), _chol(Zp)) for Xp, Zp in zip(X, Z)]
+
     log = []
     it = 0
     gamma = 0.99
     meas = measures(X, Z, x, nu)
+    factors = None
 
     for it in range(1, max_iter + 1):
         r_p, r_d, r_c, gap, rel = meas
@@ -400,15 +431,19 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         log.append({"iter": it - 1, "pobj": s_obj * s_var * rel["pobj"],
                     "dobj": s_obj * s_var * rel["dobj"], "gap": rel["gap"],
                     "rp": rel["rp"], "rd": rel["rd"], "rc": rel["rc"],
-                    "ap": 0.0, "ad": 0.0, "halvings": 0, "jitter": 0})
-        if rel["all"] <= tol:
-            break
-        if gap <= 0.0 or mu < 1e-17 * (1.0 + abs(rel["pobj"])):
-            log[-1]["stop"] = "numerical floor"
+                    "ap": 0.0, "ad": 0.0, "halvings": 0, "jitter": 0,
+                    "indefinite": 0})
+        if ends(meas):
+            if rel["all"] > tol:
+                log[-1]["stop"] = "numerical floor"
             break
 
-        # NT scalings per parity, Schur complement per full block
-        scal, jitter = zip(*[_nt_scaling(Xp, Zp) for Xp, Zp in zip(X, Z)])
+        # NT scalings per parity, from the factors of the step that reached
+        # this iterate; Schur complement per full block
+        scal, jitter = zip(*[_nt_scaling(Xp, Zp, fp) for Xp, Zp, fp
+                             in zip(X, Z, factors or factor(X, Z))])
+        # the factors would raise the step's peak memory
+        factors = None
         log[-1]["jitter"] = sum(jitter)
         for b, W in enumerate(_join([sc[2] for sc in scal])):
             Hb = blk.schur(W)
@@ -417,11 +452,9 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             # overflow on a diverging run
             log[-1]["stop"] = "non-finite Schur complement"
             break
-        # the data are finite (SdpProblem) and so is H; a zero pivot is
-        # caught below as a non-finite direction
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu = sla.lu_factor(K, check_finite=False)
+        # the data are finite (SdpProblem) and so is H; a zero pivot
+        # (info > 0) is caught below as a non-finite direction
+        lu = dgetrf(K)[:2]
 
         # the parts of the dX relation that do not depend on sigma
         Zinv = [(R / sv[..., None, :]) @ R.swapaxes(-1, -2) for R, Rinv, W, sv in scal]
@@ -473,6 +506,9 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         del step, _, corr
         ap, ad = min(1.0, gamma * ap), min(1.0, gamma * ad)
 
+        # a trial is accepted when its merit passes, its step is short, or
+        # no halving is left; it is taken only if its blocks factor, unless
+        # the solve ends at it
         for halvings in range(4):
             sp, sd = ap * 0.5 ** halvings, ad * 0.5 ** halvings
             Xn = [Xh + sp * dxh for Xh, dxh in zip(X, dX)]
@@ -484,8 +520,19 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             # as in the current point's own merit
             merit_n = (meas[3] / (1.0 + abs(rel["pobj"]) + abs(rel["dobj"]))
                        + meas[-1]["rp"] + meas[-1]["rd"])
-            if merit_n <= 10.0 * rel["merit"] or sp < 1e-3:
+            if merit_n > 10.0 * rel["merit"] and sp >= 1e-3 and halvings < 3:
+                continue
+            if it == max_iter or ends(meas):
                 break
+            try:
+                factors = factor(Xn, Zn)
+                break
+            except SdpError:
+                log[-1]["indefinite"] += 1
+        else:
+            log[-1]["stop"] = "lost positive definiteness"
+            meas = measures(X, Z, x, nu)
+            break
         log[-1].update(ap=sp, ad=sd, halvings=halvings)
         X, Z, x, nu = Xn, Zn, xn, nun
 

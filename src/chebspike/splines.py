@@ -142,24 +142,47 @@ def _phi_deriv_cheb(k: int, order: int) -> np.ndarray:
     return npcheb.chebder(c, order) if order else c
 
 
+def _phi_deriv_family(m: int, d: int) -> np.ndarray:
+    """T-basis coefficients of the (d+1)-th derivatives of phi_{d+1}, ...,
+    phi_m, one column each (column j has degree j): one `chebder` over the
+    stacked columns.  Each column equals `_phi_deriv_cheb` bit for bit, as
+    the zero coefficients above its degree add exact zeros."""
+    k = np.arange(d + 1, m + 1)
+    c = np.zeros((m + 1, k.size))
+    c[k, k - d - 1] = np.where(k == 0, 1.0, SQRT2)
+    return npcheb.chebder(c, d + 1, axis=0)
+
+
 def projection_vector(f: NonUniformSpline, m: int) -> np.ndarray:
     """Lebesgue inner products of f against the (d+1)-th derivatives of
     phi_k for k = d+1..m, computed exactly piecewise: each piece times the
-    derivative is multiplied and antidifferentiated in the T basis."""
+    derivative is multiplied and antidifferentiated in the T basis.
+
+    The products are formed one (order, piece) pair at a time, as `chebmul`
+    sums each through `np.convolve`, whose summation order a batched
+    product would change.  They are stacked, zero padded to length m, and
+    antidifferentiated and evaluated at each piece's two edges in one call
+    each.  The padding is exact: a zero coefficient adds exact zeros in
+    `chebint` and leaves Clenshaw's recurrence unchanged, so each entry is
+    bit for bit the per-pair result.  The pieces are summed left to right.
+    """
     d = f.degree
     if m <= d:
         raise ValueError("need m > degree")
     edges = np.concatenate([[-1.0], f.knots, [1.0]])
     pieces = [npcheb.poly2cheb(piece) for piece in f.pieces]
-    out = np.zeros(m - d)
-    for j, k in enumerate(range(d + 1, m + 1)):
-        dphi = _phi_deriv_cheb(k, d + 1)
-        acc = 0.0
+    # a piece has at most d+1 coefficients and dphi_k at most m-d
+    prod = np.zeros((m, m - d, len(pieces)))
+    for j, dphi in enumerate(_phi_deriv_family(m, d).T):
         for i, pc in enumerate(pieces):
-            anti = npcheb.chebint(npcheb.chebmul(pc, dphi))
-            acc += float(npcheb.chebval(edges[i + 1], anti)
-                         - npcheb.chebval(edges[i], anti))
-        out[j] = acc
+            c = npcheb.chebmul(pc, dphi)
+            prod[:c.size, j, i] = c
+    anti = npcheb.chebint(prod, axis=0)
+    inc = (npcheb.chebval(edges[1:], anti, tensor=False)
+           - npcheb.chebval(edges[:-1], anti, tensor=False))
+    out = np.zeros(m - d)
+    for col in inc.T:
+        out += col
     return out
 
 

@@ -48,6 +48,25 @@ class TestConfigErrors:
                          write_cfg(tmp_path, "c.json", cfg)])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("mode,cfg", [
+        ("recover-spikes", {"m": 4, "target": {"random_measure": {"n_spikes": 1}}}),
+        ("certificate", {"m": 4, "n_points": 2})])
+    def test_no_room_for_a_separated_point(self, tmp_path, mode, cfg):
+        # the arccos gap 1.1 * 5 pi / m exceeds pi at m = 4
+        out = tmp_path / "out"
+        code = cli.main([mode, "--config", write_cfg(
+            tmp_path, "c.json", {**cfg, "out_dir": str(out)})])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    def test_no_random_spikes_need_no_room(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = {"m": 4, "out_dir": str(out),
+               "target": {"random_measure": {"n_spikes": 0}}}
+        assert cli.main(["recover-spikes", "--config",
+                         write_cfg(tmp_path, "c.json", cfg)]) == cli.EXIT_OK
+        assert json.loads((out / "target.json").read_text())["support"] == []
+
     def test_sigma0_flag_on_recover_spikes(self, tmp_path):
         # recover-spikes reads 'sigma'; sigma0 would silently run noiseless
         x = DiscreteMeasure([0.2], [1.0])

@@ -7,10 +7,11 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
 from chebspike import sdp
-from chebspike.blasso import assemble_dual_sdp
+from chebspike.blasso import assemble_dual_sdp, solve_blasso
 from chebspike.chebyshev import ChebPoly, eval_poly
 from chebspike.measures import DiscreteMeasure
 from chebspike.observation import Observation, simulate
@@ -400,6 +401,117 @@ class TestCholeskyJitter:
         _, jitter = sdp._nt_scaling(X, X[::-1].copy())
         assert jitter == 2 and type(jitter) is int
 
+    @pytest.mark.parametrize("n", [1, 2, 33])
+    def test_unshifted_factor_is_numpys(self, n):
+        # no shift is added, not even 0 * I, when the first try factors
+        X, _ = stacked_pairs(np.random.default_rng(n), n)
+        for M in (X, X[0]):
+            L, jitter = sdp._chol(M)
+            assert jitter == 0
+            np.testing.assert_array_equal(L, np.linalg.cholesky(M))
+
+
+# moments y = 0.3 g with y_0 = 1, g standard normal from the seed, at lam 0.5
+# and d = -1: after 33 to 72 steps an accepted step once left an X half with
+# an eigenvalue near -5e-14, and the next factorization raised
+INDEFINITE_STEP = [(9, 19), (17, 21), (17, 40), (17, 43)]
+
+
+def indefinite_step_moments(n, seed):
+    y = np.random.default_rng(seed).standard_normal(n) * 0.3
+    y[0] = 1.0
+    return y
+
+
+class TestPositiveDefiniteGuard:
+    @pytest.mark.parametrize("n,seed", INDEFINITE_STEP)
+    def test_trial_that_cannot_factor_is_halved(self, n, seed):
+        sol = sdp.solve(program(indefinite_step_moments(n, seed), 0.5), tol=1e-9)
+        assert sol.status == sdp.SdpStatus.SOLVED
+        rows = [row for row in sol.iteration_log if row["indefinite"]]
+        assert rows
+        # each rejected trial is one halving
+        assert all(row["halvings"] >= row["indefinite"] for row in rows)
+        assert all("stop" not in row for row in sol.iteration_log)
+
+    @pytest.mark.parametrize("n,seed", INDEFINITE_STEP)
+    def test_solve_blasso_certifies_these_programs(self, n, seed):
+        y = indefinite_step_moments(n, seed)
+        sol = solve_blasso(Observation(y, -1, n - 1, 0.0), 0.5)
+        assert sol.duality_gap_rel <= 1e-12
+        assert max(sol.kkt_residuals.values()) <= 1e-15
+
+    def test_last_trial_that_cannot_factor_ends_the_solve(self, monkeypatch):
+        # at m = 8 each factorization of an iterate starts with 4 stacked
+        # Cholesky calls (X and Z of each parity): the start's, then the
+        # first step's.  Every call after those fails, so no trial of the
+        # second step factors
+        real = np.linalg.cholesky
+        calls = []
+
+        def failing(M):
+            calls.append(None)
+            if len(calls) > 2 * 4:
+                raise np.linalg.LinAlgError("made to fail")
+            return real(M)
+
+        prob = assembled(8, 0, 1.0)
+        one_step = sdp.solve(prob, tol=1e-9, max_iter=1)
+        monkeypatch.setattr(sdp.np.linalg, "cholesky", failing)
+        sol = sdp.solve(prob, tol=1e-9)
+        last = sol.iteration_log[-1]
+        assert sol.iterations == 2
+        assert last["stop"] == "lost positive definiteness"
+        assert last["indefinite"] == 4
+        assert (last["ap"], last["ad"], last["halvings"]) == (0.0, 0.0, 0)
+        # the iterate the first step reached is returned, with its own gap
+        assert sol.status == sdp.SdpStatus.MAX_ITER
+        np.testing.assert_array_equal(sol.free_vector, one_step.free_vector)
+        assert sol.gap == one_step.gap > 1e-9
+
+
+def kkt_matrix(rng, n, d):
+    """[[H, F], [F', -Q]] as `solve` builds it, with random positive
+    definite Schur blocks H_0, H_1."""
+    prob = program(rng.standard_normal(n), 0.5, d)
+    p = 2 * n
+    K = np.zeros((p + n, p + n))
+    for b in range(2):
+        G = rng.standard_normal((n, n))
+        K[b * n:(b + 1) * n, b * n:(b + 1) * n] = G @ G.T + np.eye(n)
+    K[:p, p:], K[p:, :p], K[p:, p:] = prob.F, prob.F.T, -prob.Q
+    return K
+
+
+class TestKktSolve:
+    """`_kkt_solve` on `dgetrf`'s factors, bit for bit against
+    scipy.linalg's wrappers of the same LAPACK calls."""
+
+    @pytest.mark.parametrize("n,d", [(1, -1), (9, -1), (9, 2), (33, 2), (129, -1)])
+    def test_matches_lu_factor_and_lu_solve(self, n, d):
+        rng = np.random.default_rng(n + d)
+        K = kkt_matrix(rng, n, d)
+        rhs = rng.standard_normal(3 * n)
+        lu = sdp.dgetrf(K)[:2]
+        want = sla.lu_factor(K, check_finite=False)
+        np.testing.assert_array_equal(lu[0], want[0])
+        np.testing.assert_array_equal(lu[1], want[1])
+        sol = sla.lu_solve(want, rhs, check_finite=False)
+        for _ in range(2):
+            sol += sla.lu_solve(want, rhs - K @ sol, check_finite=False)
+        np.testing.assert_array_equal(sdp._kkt_solve(lu, K, rhs), sol)
+
+    def test_singular_matrix_passes_non_finite_values(self):
+        # zero Schur blocks: rank at most 2n of 3n, an exactly zero pivot;
+        # nothing raises or warns
+        rng = np.random.default_rng(3)
+        K = kkt_matrix(rng, 9, -1)
+        K[:18, :18] = 0.0
+        lu, piv, info = sdp.dgetrf(K)
+        assert info > 0
+        sol = sdp._kkt_solve((lu, piv), K, rng.standard_normal(27))
+        assert not np.all(np.isfinite(sol))
+
 
 SPECTRA = {"random": lambda rng, n: rng.uniform(0.1, 3.0, n),
            "ill": lambda rng, n: np.logspace(-6, 2, n),
@@ -606,6 +718,20 @@ class TestStackedHalves:
             t = 0.5 * v[b]
             t[0] *= 2.0
             np.testing.assert_array_equal(blk.adjoint(v[b]), sla.toeplitz(t))
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 129])
+    def test_adjoint_matches_window_view(self, n):
+        # the lag-table gather against the construction it replaced
+        def window_view(v):
+            t = 0.5 * v
+            t[..., 0] *= 2.0
+            c = np.concatenate([t[..., :0:-1], t], axis=-1)
+            return sliding_window_view(c, n, axis=-1)[..., ::-1, :].copy()
+
+        blk = sdp._ToeplitzBlock(n)
+        v = np.random.default_rng(n).standard_normal((2, n))
+        for w in (v, v[0], v[1]):
+            np.testing.assert_array_equal(blk.adjoint(w), window_view(w))
 
     @pytest.mark.parametrize("n", STACK_SIZES)
     def test_chol(self, n):

@@ -126,6 +126,46 @@ class TestProjectionVector:
             assert p[j] == pytest.approx(val, abs=1e-9)
 
 
+    @pytest.mark.parametrize("d", range(-1, 4))
+    def test_derivative_family_matches_each_order(self, d):
+        # the one batched chebder against one chebder per order
+        from chebspike.splines import _phi_deriv_cheb, _phi_deriv_family
+        for m in (d + 1, d + 2, 16, 33, 64):
+            fam = _phi_deriv_family(m, d)
+            assert fam.shape == (m - d, m - d)
+            for j, k in enumerate(range(d + 1, m + 1)):
+                np.testing.assert_array_equal(fam[:j + 1, j], _phi_deriv_cheb(k, d + 1))
+                np.testing.assert_array_equal(fam[j + 1:, j], 0.0)
+
+    @pytest.mark.parametrize("degree", range(4))
+    @pytest.mark.parametrize("n_knots", range(7))
+    def test_bit_identical_to_per_pair_loop(self, degree, n_knots):
+        # the stacked antiderivative and edge evaluation against one
+        # chebint and two chebval calls per (order, piece), summed left to
+        # right
+        from numpy.polynomial import chebyshev as npcheb
+        from chebspike.splines import _phi_deriv_cheb
+
+        def per_pair(f, m):
+            edges = np.concatenate([[-1.0], f.knots, [1.0]])
+            pieces = [npcheb.poly2cheb(piece) for piece in f.pieces]
+            out = np.zeros(m - f.degree)
+            for j, k in enumerate(range(f.degree + 1, m + 1)):
+                dphi = _phi_deriv_cheb(k, f.degree + 1)
+                acc = 0.0
+                for i, pc in enumerate(pieces):
+                    anti = npcheb.chebint(npcheb.chebmul(pc, dphi))
+                    acc += float(npcheb.chebval(edges[i + 1], anti)
+                                 - npcheb.chebval(edges[i], anti))
+                out[j] = acc
+            return out
+
+        rng = np.random.default_rng(10 * degree + n_knots)
+        f = random_spline(rng, degree, n_knots, min_gap=0.02, jump_scale=1e4)
+        for m in sorted({degree + 1, degree + 2, 16, 33, 64}):
+            np.testing.assert_array_equal(projection_vector(f, m), per_pair(f, m))
+
+
 class TestMomentsViaTransfer:
     def test_step_spline_matches_atom_moments(self):
         f = NonUniformSpline(0, [0.0], [[0.0], [1.0]])
