@@ -1,23 +1,35 @@
 """Total-variation regularized spike recovery from moment observations.
 
 The estimator minimizes 0.5 * ||c(mu) - y||^2 + lam * ||mu||_TV over signed
-measures whose first d+1 moments match the observation exactly.  It is
-computed through its conic dual
+measures on [-cap, cap] whose first d+1 moments match the observation
+exactly.  It is computed through its conic dual
 
     minimize <alpha, y> + 0.5 * sum_{k>d} alpha_k^2
-    subject to  |sum_k alpha_k phi_k| <= lam on [-1, 1],
+    subject to  |sum_k alpha_k phi_k| <= lam on [-cap, cap],
 
 where the sup-norm constraint is expressed with two PSD Gram blocks via the
-trace parameterization of nonnegative cosine polynomials.  The support of
-the recovered measure is read off the level set |dual polynomial| = lam.
-One refinement stage follows: a weight fit with the exact low-order
-moments as constraints (`fit_weights`: it drops the sign-inconsistent atoms
-or, only when none is left, those below the amplitude floor, and refits),
-damped Newton steps on weights, positions and multipliers jointly with the
-analytic Hessian of the fixed-sign Lagrangian (the joint amplitude-position
-update of the sliding Frank-Wolfe step; `_lagrangian_newton` builds every
-fixed-sign KKT system), and a last weight fit at the refined positions.
-First-order optimality is verified a posteriori.
+trace parameterization of nonnegative cosine polynomials.  cap is 1, or
+cos(0.5/m) when the support must stay inside (-1, 1) (interior mode): the
+substitution t = cap u (`sdp.cap_matrix`) states the constraint on
+[-1, 1] in u, so the dual solved is the one whose measure is sought.  The
+support is read off the level set |dual polynomial in u| = lam and scaled
+by cap.  One refinement stage follows: a weight fit with the exact
+low-order moments as constraints (`fit_weights`: it drops the
+sign-inconsistent atoms or, only when none is left, those below the
+amplitude floor, and refits), damped Newton steps on weights, positions
+and multipliers jointly with the analytic Hessian of the fixed-sign
+Lagrangian (the joint amplitude-position update of the sliding Frank-Wolfe
+step; `_lagrangian_newton` builds every fixed-sign KKT system), and a last
+weight fit at the refined positions.
+
+The exchange (`_exchange`) then closes the recovery: while the subgradient
+polynomial p of the measure exceeds lam on [-cap, cap], it inserts the
+point of sup |p| (`chebyshev.abs_sup`, exact up to roundoff) and refines
+again, as long as each round lowers the primal objective.  First-order
+optimality is verified a posteriori with the same exact sup.  Scaling -p by
+lam / max(lam, sup |p|) gives a dual-feasible point whatever the IPM
+reached; its relative duality gap is `certificate_gap_rel`, and
+`duality_gap_rel` is the smaller of it and the IPM dual's gap.
 
 When the dual polynomial is the constant +-lam the level set is the whole
 interval and the optimal measure need not be unique: any one-sign measure
@@ -32,12 +44,12 @@ optimality identities is the negative of the dual polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chebyshev import (ChebPoly, ConstantDualError, cheb_grid, eval_poly,
-                        merge_close, unit_level_roots)
+from .chebyshev import (ChebPoly, ConstantDualError, abs_sup, cheb_grid,
+                        eval_poly, unit_level_roots)
 from .measures import DiscreteMeasure, moments, phi_matrix, tv_norm
 from .observation import Observation
 from . import sdp
@@ -47,6 +59,10 @@ from . import sdp
 LEVEL_TOL = 1e-4
 # grid of the constant-dual path's nonnegative least-squares fit
 DEGENERATE_GRID = 512
+# the exchange inserts an atom while sup |p| > lam (1 + EXCHANGE_TOL), for
+# at most EXCHANGE_ROUNDS rounds
+EXCHANGE_TOL = 1e-7
+EXCHANGE_ROUNDS = 20
 
 
 class BlassoError(Exception):
@@ -71,8 +87,11 @@ class PrimalSolution:
     degenerate: bool
     observation: Observation
     lam: float
+    cap: float                    # the support and the dual bound lie in [-cap, cap]
     multipliers: np.ndarray       # equality-constraint multipliers (orders <= d)
-    duality_gap_rel: float
+    duality_gap_rel: float        # the smaller of the certificate's and the IPM's
+    certificate_gap_rel: float
+    exchange_rounds: int
     sdp_gap: float
     sdp_iterations: int
     sdp_log: list                 # the IPM's iteration log (`SdpSolution`)
@@ -88,18 +107,20 @@ class BlassoOptions:
     sdp_tol: float = 1e-9
     sdp_max_iter: int = 200
     amplitude_floor: float | None = None     # default max(1e-8, 1e-6 * lam)
-    # keep the support strictly inside (-1, 1): atoms the dual places at an
-    # endpoint are moved to arccos distance 0.5/m from the edge and refitted
-    # (the constant-dual grid stops at that distance), so the measure stays
-    # a valid spline derivative and the exact-moment constraints (hence both
-    # boundary conditions) hold exactly
+    # keep the support strictly inside (-1, 1): the dual is solved, and the
+    # support sought, on [-cap, cap] with cap = cos(0.5/m), arccos distance
+    # 0.5/m from the edges (the constant-dual grid stops there too), so the
+    # measure stays a valid spline derivative and the exact-moment
+    # constraints (hence both boundary conditions) hold exactly
     interior_support: bool = False
 
 
-def assemble_dual_sdp(obs: Observation, lam: float) -> sdp.SdpProblem:
-    """The dual program (`sdp.SdpProblem`) of the observation at lam; the
-    problem derives its strictly feasible start from lam and y."""
-    return sdp.SdpProblem(lam=lam, y=obs.y.copy(), d=obs.d)
+def assemble_dual_sdp(obs: Observation, lam: float,
+                      cap: float = 1.0) -> sdp.SdpProblem:
+    """The dual program (`sdp.SdpProblem`) of the observation at lam, with
+    its constraint on [-cap, cap]; the problem derives its strictly
+    feasible start from lam, y and cap."""
+    return sdp.SdpProblem(lam=lam, y=obs.y.copy(), d=obs.d, c=cap)
 
 
 def fit_weights(support, obs: Observation, lam: float, signs,
@@ -125,8 +146,9 @@ def fit_weights(support, obs: Observation, lam: float, signs,
     while True:
         pts, s = support[keep], signs[keep]
         n, fixed = pts.size, np.zeros(pts.size, dtype=bool)
+        Phi = phi_matrix(pts, obs.m)
         g, K = _lagrangian_newton(pts, np.zeros(n), np.zeros(n_eq), s, fixed,
-                                  obs, lam)
+                                  obs, lam, Phi=Phi)
         if n_eq and n >= n_eq:
             rank = np.linalg.matrix_rank(K[n:, :n])
             if rank < n_eq:
@@ -140,7 +162,7 @@ def fit_weights(support, obs: Observation, lam: float, signs,
         # one step of iterative refinement against the residual form of the
         # stationarity rows, which the first-order checks evaluate
         g = _lagrangian_newton(pts, sol[:n], sol[n:], s, fixed, obs, lam,
-                               hessian=False)
+                               hessian=False, Phi=Phi)
         sol = sol + np.linalg.lstsq(K, -g, rcond=None)[0]
         if not np.all(np.isfinite(sol)):
             raise BlassoError(
@@ -176,14 +198,14 @@ def _phi_deriv_matrices(points, m: int):
 
 
 def _lagrangian_newton(t, a, nu, s, free, obs: Observation, lam: float,
-                       hessian: bool = True):
+                       hessian: bool = True, Phi=None):
     """Gradient and Hessian of the fixed-sign Lagrangian
     L(a, t, nu) = 0.5 |Phi_hi(t) a - y_hi|^2 + lam s.a + nu.(Phi_lo(t) a - y_lo)
     in the variables (a, t[free], nu).  With hessian=False only the gradient
-    is returned."""
+    is returned.  Phi is `phi_matrix(t, m)`, when the caller has it."""
     m, n_eq = obs.m, obs.d + 1
     n, k, af = t.size, int(free.sum()), a[free]
-    Phi = phi_matrix(t, m)
+    Phi = phi_matrix(t, m) if Phi is None else Phi
     P_lo, P_hi = Phi[:n_eq], Phi[n_eq:]
     d1, d2 = _phi_deriv_matrices(t[free], m)
     D_lo, D_hi = d1[:n_eq], d1[n_eq:]
@@ -294,13 +316,12 @@ def _stationarity_poly(measure: DiscreteMeasure, obs: Observation,
 def verify_first_order(sol: PrimalSolution) -> dict:
     """Residuals of the first-order conditions: the total-variation identity
     |lam*TV - sum a_i * p(t_i)|, the sup-norm overshoot max(0, sup|p| - lam)
-    of the subgradient polynomial on a dense grid, and the residual of the
-    exact-order moment constraints."""
+    of the subgradient polynomial on [-cap, cap] (`abs_sup`, exact up to
+    roundoff), and the residual of the exact-order moment constraints."""
     lam = sol.lam
     obs = sol.observation
     p = _stationarity_poly(sol.measure, obs, sol.multipliers)
-    grid = cheb_grid(4 * max(obs.m, 1))
-    sup = float(np.abs(eval_poly(p, grid)).max())
+    sup, _ = abs_sup(p, sol.cap)
     if sol.measure.is_empty:
         tv_gap = 0.0
     else:
@@ -342,16 +363,19 @@ def solve_blasso(obs: Observation, lam: float,
                  opts: BlassoOptions | None = None) -> PrimalSolution:
     """Run the full dual pipeline and return the recovered measure.
 
-    Steps: assemble the dual conic program, solve it, locate the support on
-    the level set of the dual polynomial, refine weights and positions in
-    one stage (`_refine_support`) with the exact low-order moments as
-    constraints and atoms below the amplitude floor pruned, and package
-    optimality diagnostics.  A constant dual polynomial takes the
+    Steps: assemble the dual conic program on [-cap, cap], solve it, locate
+    the support on the level set of the dual polynomial, refine weights and
+    positions in one stage (`_refine_support`) with the exact low-order
+    moments as constraints and atoms below the amplitude floor pruned, run
+    the exchange (`_exchange`), and package the optimality diagnostics and
+    the certificate's duality gap.  A constant dual polynomial takes the
     constant-dual path (`_degenerate_solution`) in place of the level-set
-    read-out and the refinement.
+    read-out, the refinement and the exchange.
     """
     opts = opts or BlassoOptions()
-    prob = assemble_dual_sdp(obs, lam)
+    theta_cap = 0.5 / max(obs.m, 1) if opts.interior_support else 0.0
+    cap = float(np.cos(theta_cap))
+    prob = assemble_dual_sdp(obs, lam, cap)
     ssol = sdp.solve(prob, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter)
     if ssol.status != sdp.SdpStatus.SOLVED:
         raise BlassoError(
@@ -365,52 +389,93 @@ def solve_blasso(obs: Observation, lam: float,
 
     floor = opts.amplitude_floor
     floor = max(1e-8, 1e-6 * lam) if floor is None else floor
-    theta_cap = 0.5 / max(obs.m, 1) if opts.interior_support else 0.0
+    # the dual polynomial in u = t / cap, bounded by lam on [-1, 1]
+    unit_poly = dual_poly if prob.B is None else ChebPoly(prob.B @ alpha)
+    base = PrimalSolution(
+        measure=DiscreteMeasure.empty(), dual=dual, kkt_residuals={},
+        degenerate=False, observation=obs, lam=lam, cap=cap,
+        multipliers=np.zeros(d + 1), duality_gap_rel=0.0,
+        certificate_gap_rel=0.0, exchange_rounds=0, sdp_gap=ssol.gap,
+        sdp_iterations=ssol.iterations, sdp_log=ssol.iteration_log)
 
-    degenerate = False
-    multipliers = np.zeros(d + 1)
     try:
-        support = unit_level_roots(dual_poly, lam, LEVEL_TOL)
+        u = unit_level_roots(unit_poly, lam, LEVEL_TOL)
     except ConstantDualError:
-        degenerate = True
         # |p| is constant at lam on the locator's 4m-point grid, so p has
-        # one sign and p(0) is not 0
+        # one sign and p(0) is not 0; the subgradient polynomial is then
+        # -dual_poly itself
         sign = -float(np.sign(eval_poly(dual_poly, 0.0)))
-        measure = _degenerate_solution(obs, alpha, sign, floor, theta_cap)
-        # the subgradient polynomial is then -dual_poly itself
-        multipliers = alpha[:d + 1]
+        sol = replace(base, degenerate=True, multipliers=alpha[:d + 1],
+                      measure=_degenerate_solution(obs, alpha, sign, floor,
+                                                   theta_cap))
+        kkt = verify_first_order(sol)
     else:
-        if support.size == 0:
-            measure = DiscreteMeasure.empty()
-        else:
-            # every located point has |p| >= lam (1 - LEVEL_TOL), so its
-            # sign is the weight's
-            vals = eval_poly(dual_poly, support)
-            signs = -np.sign(vals)
-            if theta_cap > 0:
-                # clipping can bring an endpoint atom within the locator's
-                # merge radius of its interior neighbour
-                t_cap = np.cos(theta_cap)
-                support = np.clip(support, -t_cap, t_cap)
-                keep = merge_close(support, np.abs(vals), theta_cap)
-                support, signs = support[keep], signs[keep]
+        # every located point has |p| >= lam (1 - LEVEL_TOL), so its sign
+        # is the weight's
+        support, signs = cap * u, -np.sign(eval_poly(unit_poly, u))
+        weights = np.zeros(0)
+        if support.size:
             support, weights = _refine_support(
                 support, obs, lam, signs, floor, theta_cap)
-            measure = DiscreteMeasure(support, weights)
+        sol, kkt = _exchange(base, support, weights, floor, theta_cap,
+                             opts.sdp_tol)
 
-    if d >= 0 and not degenerate and not measure.is_empty:
-        multipliers = _anchored_multipliers(measure, obs, lam, alpha[:d + 1])
-    sol = PrimalSolution(
-        measure=measure, dual=dual, kkt_residuals={}, degenerate=degenerate,
-        observation=obs, lam=lam, multipliers=multipliers,
-        duality_gap_rel=0.0, sdp_gap=ssol.gap, sdp_iterations=ssol.iterations,
-        sdp_log=ssol.iteration_log)
-    kkt = verify_first_order(sol)
     pobj = sol.primal_objective()
-    gap_rel = abs(pobj + dual_obj) / (1.0 + abs(pobj))
-    object.__setattr__(sol, "kkt_residuals", kkt)
-    object.__setattr__(sol, "duality_gap_rel", float(gap_rel))
-    return sol
+    # -p scaled into the constraint is dual feasible, so its gap bounds the
+    # primal's suboptimality whatever the IPM reached
+    p = _stationarity_poly(sol.measure, obs, sol.multipliers)
+    cert = -p.coeffs * (lam / (lam + kkt["feasibility_gap"]))
+    cert_obj = float(cert @ obs.y + 0.5 * cert[d + 1:] @ cert[d + 1:])
+    cert_gap = abs(pobj + cert_obj) / (1.0 + abs(pobj))
+    ipm_gap = abs(pobj + dual_obj) / (1.0 + abs(pobj))
+    return replace(sol, kkt_residuals=kkt, certificate_gap_rel=float(cert_gap),
+                   duality_gap_rel=float(min(cert_gap, ipm_gap)))
+
+
+def _exchange(base: PrimalSolution, support, weights, floor: float,
+              theta_cap: float, tol: float):
+    """The exchange step that closes a recovery (the outer loop of sliding
+    Frank-Wolfe, Denoyelle, Duval, Peyre & Soubies, Inverse Problems 2020):
+    while the subgradient polynomial p of the refined measure has
+    sup |p| > lam (1 + EXCHANGE_TOL) on [-cap, cap] (`abs_sup`), insert
+    its argmax with the sign of p there and refine again
+    (`_refine_support`), for at most EXCHANGE_ROUNDS rounds.
+
+    Each round must lower the primal objective P, as a descent step does:
+    a round that raises it ends the loop at the measure before it, and one
+    that lowers it by at most tol (1 + |P|), below what the solve's
+    relative tolerance can tell apart, ends it at the new measure.  The
+    refinement cannot always descend, so without this rule the loop can
+    wander for all its rounds and stop at a measure worse than an earlier
+    one.  Returns the solution (`base` with the measure, its anchored
+    multipliers and the rounds kept) and its `verify_first_order`
+    residuals."""
+    obs, lam, d = base.observation, base.lam, base.observation.d
+    alpha_lo = base.dual.alpha[:d + 1]
+    prev = prev_pobj = None
+    for rounds in range(EXCHANGE_ROUNDS + 1):
+        measure = DiscreteMeasure(support, weights)
+        multipliers = base.multipliers
+        if d >= 0 and not measure.is_empty:
+            multipliers = _anchored_multipliers(measure, obs, lam, alpha_lo)
+        sol = replace(base, measure=measure, multipliers=multipliers,
+                      exchange_rounds=rounds)
+        pobj = sol.primal_objective()
+        if prev_pobj is not None and pobj >= prev_pobj:
+            return prev
+        kkt = verify_first_order(sol)
+        if (kkt["feasibility_gap"] <= EXCHANGE_TOL * lam
+                or rounds == EXCHANGE_ROUNDS
+                or prev_pobj is not None
+                and prev_pobj - pobj <= tol * (1.0 + abs(prev_pobj))):
+            return sol, kkt
+        prev, prev_pobj = (sol, kkt), pobj
+        p = _stationarity_poly(measure, obs, multipliers)
+        _, t = abs_sup(p, base.cap)
+        support, weights = _refine_support(
+            np.append(measure.support, t), obs, lam,
+            np.append(np.sign(measure.weights), np.sign(eval_poly(p, t))),
+            floor, theta_cap)
 
 
 def solution_to_dict(sol: PrimalSolution) -> dict:
@@ -423,6 +488,8 @@ def solution_to_dict(sol: PrimalSolution) -> dict:
         "degenerate": sol.degenerate,
         "lam": sol.lam,
         "duality_gap_rel": sol.duality_gap_rel,
+        "certificate_gap_rel": sol.certificate_gap_rel,
+        "exchange_rounds": sol.exchange_rounds,
         "sdp_gap": sol.sdp_gap,
         "sdp_iterations": sol.sdp_iterations,
     }

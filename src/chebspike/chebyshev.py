@@ -210,6 +210,25 @@ def unit_level_roots(p: ChebPoly, level: float, tol: float) -> np.ndarray:
     return pts[merge_close(pts, np.abs(npcheb.chebval(pts, tc)), 0.5 / m)]
 
 
+def abs_sup(p: ChebPoly, c: float = 1.0) -> tuple[float, float]:
+    """(sup |p| on [-c, c], a point where it is reached), 0 < c <= 1.
+
+    The candidates are the real roots of p' in [-c, c], the eigenvalues of
+    one colleague matrix (Boyd, SIAM J. Numer. Anal. 2002), and +-c.  The
+    real part of every eigenvalue in [-c, c] is taken: a real critical
+    point that roundoff moved off the real axis is then kept, and any other
+    candidate is still a point of [-c, c], which cannot raise the sup.
+    """
+    tc = p.to_chebyshev_t()
+    dc = npcheb.chebder(tc)
+    dc = npcheb.chebtrim(dc, tol=1e-14 * np.abs(dc).max())
+    crit = npcheb.chebroots(dc).real
+    t = np.concatenate([crit[np.abs(crit) <= c], [-c, c]])
+    vals = np.abs(npcheb.chebval(t, tc))
+    i = int(np.argmax(vals))
+    return float(vals[i]), float(t[i])
+
+
 def merge_close(t: np.ndarray, score: np.ndarray, radius: float) -> np.ndarray:
     """Indices of the points kept when the ascending points t are merged in
     chains of neighbours at most `radius` apart in arccos distance, keeping

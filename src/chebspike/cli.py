@@ -204,14 +204,15 @@ def _out_dir(cfg: dict) -> Path:
 def random_separated_support(rng, n_points: int, m: int,
                              margin: float = 1.1, max_tries: int = 20000):
     """Rejection-sample a support satisfying the separation condition with
-    the given slack factor.  A config error when a gap above pi leaves no
-    room for even one point."""
+    the given slack factor.  A config error, before any draw, when the
+    points cannot fit: n points a gap apart need (n - 1) gaps of arccos
+    room between the edge margins."""
     gap = margin * 5.0 * np.pi / m
     lo, hi = gap / 2.0, np.pi - gap / 2.0
+    if n_points and (n_points - 1) * gap > hi - lo:
+        raise ConfigError(f"{n_points} points with arccos gap {gap:.4g} do "
+                          f"not fit in [{lo:.4g}, {hi:.4g}] at m={m}")
     if lo > hi:
-        if n_points:
-            raise ConfigError(f"no separated point fits at m={m}: the arccos "
-                              f"gap {gap:.4g} exceeds pi")
         return np.empty(0)
     for _ in range(max_tries):
         theta = np.sort(rng.uniform(lo, hi, n_points))

@@ -2,23 +2,25 @@
 (`blasso`): two PSD Gram blocks in trace form, a free coefficient vector
 and a convex quadratic objective.
 
-Problem form, with n = m + 1 moments y, orders 0..d exact and lam > 0::
+Problem form, with n = m + 1 moments y, orders 0..d exact, lam > 0 and
+0 < c <= 1::
 
     minimize    y' x + (1/2) sum_{k>d} x_k^2
-    subject to  A(X_0) - S x = lam e_0
-                A(X_1) + S x = lam e_0
+    subject to  A(X_0) - S B x = lam e_0
+                A(X_1) + S B x = lam e_0
                 X_0, X_1  n x n positive semidefinite
 
 A(X)_k is the sum of the k-th subdiagonal of X (k = 0 .. n-1, the trace for
 k = 0), that is <A_k, X> with A_k = (E_k + E_-k) / 2 and E_d the matrix of
 ones where row - column = d, and S = diag(1, 1/sqrt(2), ..., 1/sqrt(2)).
-Block b states that lam -+ sum_k x_k phi_k is a nonnegative cosine
-polynomial with Gram matrix X_b (the trace parameterization), so together
-|sum_k x_k phi_k| <= lam on [-1, 1].  Stacked, the 2n equality rows read
-A(X) + F x = h with h = lam (e_0 + e_n) and F = [-S; S], and the objective
-is (1/2) x' Q x + q' x with q = y and Q the 0/1 diagonal of the noisy
-orders.  `SdpProblem` holds lam, y and d, and derives h, F, Q and the
-start once.
+B = `cap_matrix(n, c)` maps the coefficients of p = sum_k x_k phi_k to
+those of u -> p(c u), and is the identity for c = 1.  Block b states that
+lam -+ p(c u) is a nonnegative cosine polynomial in u with Gram matrix X_b
+(the trace parameterization), so together |p| <= lam on [-c, c].  Stacked,
+the 2n equality rows read A(X) + F x = h with h = lam (e_0 + e_n) and
+F = [-S B; S B], and the objective is (1/2) x' Q x + q' x with q = y and Q
+the 0/1 diagonal of the noisy orders.  `SdpProblem` holds lam, y, d and c,
+and derives h, F, Q and the start once.
 
 The solver is a Nesterov-Todd scaled primal-dual path-following method with
 a Mehrotra predictor-corrector step.  Each Newton system is reduced to a
@@ -32,13 +34,17 @@ one smallest eigenvalue and no factorization.  Intended for block
 dimensions up to a few hundred.
 
 The solve starts from the strictly feasible point that `SdpProblem`
-derives in closed form from lam and y: X_b and Z_b = -A*(nu_b) positive
+derives in closed form from lam, y and c: X_b and Z_b = -A*(nu_b) positive
 definite (nu_b the multipliers of block b's rows), r_p and r_d zero up to
-roundoff.  X and x move with the same primal step length, so r_p stays at
-roundoff on every iterate and the solver needs no infeasibility status or
-phase-one work (Vandenberghe & Boyd, SIAM Review 1996, sections 6-7).  r_d
-does not: nu moves with the dual step length, so a step with unequal
-lengths puts part of the Newton correction back into r_d.
+roundoff.  X, x, Z and nu all move with one step length, the smaller of
+the primal and the dual step to the boundary.  r_p = h - A(X) - F x and
+r_d = F' nu - Q x - q are linear in the iterate, so each step scales both
+by the same factor (1 - step) and a full step leaves them at roundoff: the
+solver needs no infeasibility status or phase-one work (Vandenberghe &
+Boyd, SIAM Review 1996, sections 6-7).  A quadratic objective couples x to
+nu in r_d, so the step is common, as in CVXOPT's coneqp (Vandenberghe,
+2010): with unequal lengths each step would put part of the Newton
+correction back into r_d.
 
 Every iterate is centrosymmetric (J X_b J = X_b, J Z_b J = Z_b, J the
 exchange matrix), so each block is carried as its halves on the even vectors
@@ -87,7 +93,7 @@ retries with jitter): near the optimum the blocks' smallest eigenvalues
 sit at roundoff, and a step can leave one slightly negative.  The accepted
 step's factors serve the next NT scaling, so no block is factored twice;
 an iterate at which the solve ends is not factored.  Each iteration-log
-row records the step lengths `ap`, `ad`, its `halvings`, under
+row records the step length under both `ap` and `ad`, its `halvings`, under
 `indefinite` how many of those halvings were for a block that did not
 factor, and under `jitter` how many of its NT-scaling Cholesky factors
 needed a diagonal shift.  A vanishing gap, a non-finite Schur complement
@@ -122,61 +128,88 @@ def trace_scale(n: int) -> np.ndarray:
     return s
 
 
+def cap_matrix(n: int, c: float):
+    """B with phi_k(c u) = sum_j B[j, k] phi_j(u) for k < n, phi_0 = 1 and
+    phi_k = sqrt(2) T_k: the substitution t = c u that maps [-1, 1] onto
+    [-c, c].  None for c = 1.  B is found by interpolation at the n
+    Chebyshev points of the first kind u_i, where the columns of
+    phi_j(u_i) / sqrt(n) are orthonormal, so the interpolation is one
+    product and exact for degree n - 1.  B is triangular with diagonal
+    c^k (up to the basis scaling), so it is well conditioned for the c near
+    1 of the interior mode: cos(0.5/m)^m > 0.88."""
+    if c == 1.0:
+        return None
+    u = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    w = 1.0 / trace_scale(n)
+    V = np.polynomial.chebyshev.chebvander(u, n - 1) * w
+    Vc = np.polynomial.chebyshev.chebvander(c * u, n - 1) * w
+    return V.T @ Vc / n
+
+
 @dataclass
 class SdpProblem:
     """The dual program of the module docstring: lam > 0, the moments y
-    (length n = m + 1) and the last exact order d, -1 <= d < m.
+    (length n = m + 1), the last exact order d, -1 <= d < m, and the bound
+    c of the constraint's interval [-c, c], 0 < c <= 1.
 
-    h, F, Q and the strictly feasible start are derived from lam, y and d.
-    The start is (start_psd, start_free, start_nu): the Gram blocks
+    h, F, Q, the substitution B = `cap_matrix(n, c)` (None for c = 1) and
+    the strictly feasible start are derived from lam, y, d and c.  The
+    start is (start_psd, start_free, start_nu): the Gram blocks
     X_b = (lam/n) I, the free vector x = 0, and the 2n equality
-    multipliers nu: nu_0 = -U e_0 on block 0 and nu_1 = S^-1 y - U e_0 on
-    block 1, so that F' nu = y.  So Z_0 = U I and
-    Z_1 = U I - T(y), T(y) the symmetric Toeplitz matrix with first column
-    (y_0, y_k / sqrt(2)), and U is 1 plus a Gershgorin bound of T(y), so
-    Z_1 - I is positive semidefinite.
+    multipliers nu: nu_0 = -U e_0 on block 0 and nu_1 = S^-1 yt - U e_0
+    on block 1, yt = B^-T y (yt = y for c = 1), so that F' nu = y.  So
+    Z_0 = U I and Z_1 = U I - T(yt), T(yt) the symmetric Toeplitz matrix
+    with first column (yt_0, yt_k / sqrt(2)), and U is 1 plus a Gershgorin
+    bound of T(yt), so Z_1 - I is positive semidefinite.
     """
 
     lam: float
     y: np.ndarray
     d: int
+    c: float = 1.0
     h: np.ndarray = field(init=False, repr=False)
     F: np.ndarray = field(init=False, repr=False)
     Q: np.ndarray = field(init=False, repr=False)
+    B: np.ndarray | None = field(init=False, repr=False)
     start_psd: list = field(init=False, repr=False)
     start_free: np.ndarray = field(init=False, repr=False)
     start_nu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        lam = float(self.lam)
-        for name, val in (("lam", lam), ("y", y)):
+        lam, c = float(self.lam), float(self.c)
+        for name, val in (("lam", lam), ("y", y), ("c", c)):
             if not np.all(np.isfinite(val)):
                 raise SdpError(f"{name} has non-finite entries")
         if lam <= 0:
             raise ValueError("lam must be positive")
+        if not 0.0 < c <= 1.0:
+            raise ValueError("c must lie in (0, 1]")
         n = y.size
         if y.ndim != 1 or not (isinstance(self.d, (int, np.integer))
                                and -1 <= self.d < n - 1):
             raise SdpError("need a moment vector y and an exact order "
                            "-1 <= d < y.size - 1")
-        # each row of |T(y)| holds |y_0| once and each |y_k| / sqrt(2) at
-        # most twice: the Gershgorin bound
+        B = cap_matrix(n, c)
+        yt = y if B is None else np.linalg.solve(B.T, y)
+        # each row of |T(yt)| holds |yt_0| once and each |yt_k| / sqrt(2)
+        # at most twice: the Gershgorin bound
         with np.errstate(over="ignore"):
-            U = 1.0 + abs(y[0]) + np.sqrt(2.0) * np.abs(y[1:]).sum()
+            U = 1.0 + abs(yt[0]) + np.sqrt(2.0) * np.abs(yt[1:]).sum()
         if not np.isfinite(U):
             raise SdpError("the start's Gershgorin bound of T(y) overflows")
-        self.lam, self.y = lam, y
+        self.lam, self.y, self.c, self.B = lam, y, c, B
         self.h = np.zeros(2 * n)
         self.h[0] = self.h[n] = lam
         s = trace_scale(n)
-        self.F = np.vstack([np.diag(-s), np.diag(s)])
+        SB = np.diag(s) if B is None else s[:, None] * B
+        self.F = np.vstack([-SB, SB])
         self.Q = np.diag((np.arange(n) > self.d).astype(float))
         self.start_psd = [np.eye(n) * (lam / n)] * 2
         self.start_free = np.zeros(n)
         self.start_nu = np.zeros(2 * n)
         self.start_nu[0] = -U
-        self.start_nu[n:] = y / s
+        self.start_nu[n:] = yt / s
         self.start_nu[n] -= U
 
 
@@ -504,23 +537,25 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             break
         dX, dZ, dx, dnu, _, _, ap, ad = step
         del step, _, corr
-        ap, ad = min(1.0, gamma * ap), min(1.0, gamma * ad)
+        # one length for the primal and the dual step, so that r_d, which
+        # couples x and nu, falls by the same factor as r_p
+        a = min(1.0, gamma * ap, gamma * ad)
 
         # a trial is accepted when its merit passes, its step is short, or
         # no halving is left; it is taken only if its blocks factor, unless
         # the solve ends at it
         for halvings in range(4):
-            sp, sd = ap * 0.5 ** halvings, ad * 0.5 ** halvings
-            Xn = [Xh + sp * dxh for Xh, dxh in zip(X, dX)]
-            Zn = [Zh + sd * dzh for Zh, dzh in zip(Z, dZ)]
-            xn = x + sp * dx
-            nun = nu + sd * dnu
+            sa = a * 0.5 ** halvings
+            Xn = [Xh + sa * dxh for Xh, dxh in zip(X, dX)]
+            Zn = [Zh + sa * dzh for Zh, dzh in zip(Z, dZ)]
+            xn = x + sa * dx
+            nun = nu + sa * dnu
             meas = measures(Xn, Zn, xn, nun)
             # the trial gap is normalised by the current point's objectives,
             # as in the current point's own merit
             merit_n = (meas[3] / (1.0 + abs(rel["pobj"]) + abs(rel["dobj"]))
                        + meas[-1]["rp"] + meas[-1]["rd"])
-            if merit_n > 10.0 * rel["merit"] and sp >= 1e-3 and halvings < 3:
+            if merit_n > 10.0 * rel["merit"] and sa >= 1e-3 and halvings < 3:
                 continue
             if it == max_iter or ends(meas):
                 break
@@ -533,7 +568,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             log[-1]["stop"] = "lost positive definiteness"
             meas = measures(X, Z, x, nu)
             break
-        log[-1].update(ap=sp, ad=sd, halvings=halvings)
+        log[-1].update(ap=sa, ad=sa, halvings=halvings)
         X, Z, x, nu = Xn, Zn, xn, nun
 
     final_gap = meas[-1]["all"]

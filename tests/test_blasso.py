@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from chebspike import sdp
-from chebspike.blasso import (BlassoError, BlassoOptions, _refine_support,
+from chebspike.blasso import (BlassoError, BlassoOptions, EXCHANGE_TOL,
+                              _refine_support, _stationarity_poly,
                               assemble_dual_sdp, fit_weights, solve_blasso,
                               solution_to_dict, verify_first_order)
-from chebspike.chebyshev import ChebPoly, cheb_grid, eval_poly
+from chebspike.chebyshev import ChebPoly, abs_sup, cheb_grid, eval_poly
 from chebspike.measures import DiscreteMeasure, moments, phi_matrix
 from chebspike.observation import Observation, simulate
 
@@ -355,6 +356,47 @@ class TestFitWeights:
             if idx.size:
                 np.testing.assert_array_equal(nu, mult)
 
+    def test_one_phi_build_per_pass(self, monkeypatch):
+        # each pass builds Phi once and hands it to both of its
+        # `_lagrangian_newton` calls; the results are bit for bit those of
+        # the path where each call builds its own
+        from chebspike import blasso
+        real_newton, real_phi = blasso._lagrangian_newton, blasso.phi_matrix
+        builds, calls = [], []
+
+        def counting_phi(t, m):
+            builds.append(None)
+            return real_phi(t, m)
+
+        def counting_newton(*args, **kw):
+            calls.append(None)
+            return real_newton(*args, **kw)
+
+        def own_phi(*args, Phi=None, **kw):
+            return real_newton(*args, **kw)
+
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            m, d = int(rng.integers(8, 17)), int(rng.integers(-1, 2))
+            x = DiscreteMeasure(np.sort(rng.uniform(-0.9, 0.9, 3)),
+                                rng.uniform(0.05, 1.5, 3) * rng.choice([-1, 1], 3))
+            obs = simulate(x, m, d, 1e-3, seed=int(rng.integers(1000)))
+            t = np.sort(rng.uniform(-0.95, 0.95, int(rng.integers(3, 7))))
+            s = rng.choice([-1.0, 1.0], t.size)
+            lam, floor = 10.0 ** rng.uniform(-4, -2), rng.uniform(0.0, 0.5)
+            builds.clear()
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(blasso, "phi_matrix", counting_phi)
+                mp.setattr(blasso, "_lagrangian_newton", counting_newton)
+                w, nu, keep = fit_weights(t, obs, lam, s, floor)
+                assert 2 * len(builds) == len(calls) >= 2
+                mp.setattr(blasso, "_lagrangian_newton", own_phi)
+                want = fit_weights(t, obs, lam, s, floor)
+            np.testing.assert_array_equal(keep, want[2])
+            np.testing.assert_array_equal(w, want[0])
+            np.testing.assert_array_equal(nu, want[1])
+
 
 class TestRefineSupport:
     @pytest.mark.parametrize("d, lam", [(-1, 0.0), (-1, 1e-3), (0, 1e-3), (4, 1e-3)])
@@ -476,3 +518,99 @@ class TestVerifyFirstOrder:
         obs = Observation(np.zeros(9), -1, 8, 0.0)
         sol = solve_blasso(obs, 0.5)
         assert verify_first_order(sol)["tv_identity_gap"] == 0.0
+
+
+def exchange_case(seed):
+    """A noisy 3-spike observation at m = 24 with exact orders 0..2, solved
+    at lam 0.05 in interior mode.  At seed 26 the exchange inserts atoms,
+    and without it the measure's duality gap was 3.9e-5."""
+    rng = np.random.default_rng(seed)
+    x = DiscreteMeasure(np.sort(rng.uniform(-0.9, 0.9, 3)),
+                        rng.uniform(0.5, 2.0, 3) * rng.choice([-1.0, 1.0], 3))
+    return simulate(x, 24, 2, 1e-2, seed=seed), 0.05
+
+
+class TestExchange:
+    def test_inserted_atoms_close_the_gap(self):
+        obs, lam = exchange_case(26)
+        sol = solve_blasso(obs, lam, BlassoOptions(interior_support=True))
+        assert sol.exchange_rounds >= 1
+        assert sol.duality_gap_rel <= 1e-6
+        cap = np.cos(0.5 / 24)
+        assert sol.cap == cap
+        assert np.abs(sol.measure.support).max() <= cap
+        out = solution_to_dict(sol)
+        assert out["exchange_rounds"] == sol.exchange_rounds
+        assert out["certificate_gap_rel"] == sol.certificate_gap_rel
+
+    def test_no_round_when_the_measure_is_feasible(self):
+        x = DiscreteMeasure([-0.5, 0.3], [-0.8, 1.5])
+        sol = solve_blasso(noiseless_obs(x, 32), 1e-6)
+        assert sol.exchange_rounds == 0
+        assert sol.kkt_residuals["feasibility_gap"] <= EXCHANGE_TOL * 1e-6
+
+    def test_round_that_raises_the_objective_is_undone(self, monkeypatch):
+        # every refinement after the first keeps only the inserted atom,
+        # with a tenth of its fitted weight: the primal objective rises, so
+        # the exchange returns the measure of the first refinement
+        from chebspike import blasso
+        obs, lam = exchange_case(26)
+        opts = BlassoOptions(interior_support=True)
+        first = []
+
+        def worse(support, *args):
+            t, a = _refine_support(support, *args)
+            if first:
+                return support[-1:], 0.1 * a[-1:] if a.size else np.ones(1)
+            first.append((t, a))
+            return t, a
+
+        monkeypatch.setattr(blasso, "_refine_support", worse)
+        sol = solve_blasso(obs, lam, opts)
+        assert len(first) == 1
+        assert sol.exchange_rounds == 0
+        want = DiscreteMeasure(*first[0])
+        np.testing.assert_array_equal(sol.measure.support, want.support)
+        np.testing.assert_array_equal(sol.measure.weights, want.weights)
+
+    def test_rounds_stop_at_the_cap(self, monkeypatch):
+        from chebspike import blasso
+        monkeypatch.setattr(blasso, "EXCHANGE_ROUNDS", 1)
+        obs, lam = exchange_case(26)
+        sol = solve_blasso(obs, lam, BlassoOptions(interior_support=True))
+        assert sol.exchange_rounds == 1
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_scaled_subgradient_is_dual_feasible(self, interior):
+        obs, lam = exchange_case(20)
+        sol = solve_blasso(obs, lam, BlassoOptions(interior_support=interior))
+        p = _stationarity_poly(sol.measure, obs, sol.multipliers)
+        sup, _ = abs_sup(p, sol.cap)
+        # verify_first_order takes its sup on [-cap, cap] from abs_sup
+        assert sol.kkt_residuals["feasibility_gap"] == max(0.0, sup - lam)
+        cert = -p.coeffs * lam / max(lam, sup)
+        assert abs_sup(ChebPoly(cert), sol.cap)[0] <= lam * (1.0 + 1e-14)
+        pobj, d = sol.primal_objective(), obs.d
+        gap = abs(pobj + cert @ obs.y + 0.5 * cert[d + 1:] @ cert[d + 1:])
+        assert sol.certificate_gap_rel == pytest.approx(gap / (1.0 + abs(pobj)),
+                                                        rel=1e-6, abs=1e-15)
+        ipm = abs(pobj + sol.dual.objective) / (1.0 + abs(pobj))
+        assert sol.duality_gap_rel == min(sol.certificate_gap_rel, ipm)
+
+    def test_a_wrong_measure_fails_both_gaps(self):
+        # doubling a weight leaves the IPM dual as it was and moves the
+        # measure far from optimal, which the certificate cannot hide
+        x = DiscreteMeasure([-0.5, 0.3], [-0.8, 1.5])
+        lam = 1e-4
+        sol = solve_blasso(noiseless_obs(x, 32), lam)
+        bad = dataclasses.replace(sol, measure=DiscreteMeasure(
+            sol.measure.support, sol.measure.weights * np.array([1.0, 2.0])))
+        p = _stationarity_poly(bad.measure, bad.observation, bad.multipliers)
+        sup, _ = abs_sup(p, bad.cap)
+        cert = -p.coeffs * lam / max(lam, sup)
+        pobj = bad.primal_objective()
+        assert abs(pobj + cert @ bad.observation.y
+                   + 0.5 * cert @ cert) / (1.0 + abs(pobj)) > 1e-3
+        assert abs(pobj + sol.dual.objective) / (1.0 + abs(pobj)) > 1e-3

@@ -9,7 +9,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 from chebspike.blasso import LEVEL_TOL, solve_blasso
 from chebspike.chebyshev import (ChebPoly, ConstantDualError, _polish_abs_maximum,
-                                 arccos_distance, cheb_grid, endpoint_weight,
+                                 abs_sup, arccos_distance, cheb_grid, endpoint_weight,
                                  eval_phi, eval_poly, merge_close,
                                  unit_level_roots)
 from chebspike.measures import DiscreteMeasure
@@ -129,6 +129,45 @@ class TestEndpointWeight:
                 coeffs = [i * c for i, c in enumerate(coeffs)][1:] or [0]
             left = float(sum(c * (-1.0) ** i for i, c in enumerate(coeffs)))
             assert left == pytest.approx((-1.0) ** (k + l) * endpoint_weight(k, l))
+
+
+class TestAbsSup:
+    @pytest.mark.parametrize("m", [1, 2, 5, 32, 128])
+    @pytest.mark.parametrize("c", [1.0, np.cos(0.5 / 32), 0.3])
+    def test_against_a_dense_grid(self, m, c):
+        # the exact sup is never below the sup over a 20,001-point grid, and
+        # it matches the grid maximum polished by a bounded scalar search
+        # between that point's neighbours
+        from scipy.optimize import minimize_scalar
+        rng = np.random.default_rng(m)
+        p = ChebPoly(rng.standard_normal(m + 1))
+        sup, t = abs_sup(p, c)
+        assert -c <= t <= c
+        assert sup == abs(eval_poly(p, t))
+        grid = c * np.cos(np.linspace(0.0, np.pi, 20001))
+        vals = np.abs(eval_poly(p, grid))
+        assert vals.max() <= sup * (1.0 + 1e-14)
+        i = int(np.argmax(vals))
+        lo, hi = sorted((grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]))
+        ref = minimize_scalar(lambda u: -abs(eval_poly(p, u)), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-14})
+        assert abs(sup - max(-ref.fun, vals.max())) <= 1e-12 * sup
+
+    def test_interior_maximum_between_grid_points(self):
+        # T_m reaches its sup at the extrema cos(k pi / m); with c short of
+        # 1 the sup over [-c, c] is reached inside, at an extremum
+        p = ChebPoly.from_chebyshev_t(np.eye(9)[8])
+        sup, t = abs_sup(p, 0.99)
+        assert sup == pytest.approx(1.0, abs=1e-14)
+        assert np.min(np.abs(np.arccos(t) - np.pi * np.arange(9) / 8)) <= 1e-7
+
+    def test_monotone_polynomial_peaks_at_the_bound(self):
+        sup, t = abs_sup(ChebPoly([0.5, 1.0]), 0.25)
+        assert (sup, t) == (0.5 + SQRT2 * 0.25, 0.25)
+
+    def test_constant(self):
+        assert abs_sup(ChebPoly([-2.0]), 0.5) == (2.0, -0.5)
+        assert abs_sup(ChebPoly([0.0, 0.0, 0.0])) == (0.0, -1.0)
 
 
 class TestUnitLevelRoots:

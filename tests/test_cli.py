@@ -59,6 +59,17 @@ class TestConfigErrors:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    def test_points_that_cannot_fit_raise_before_any_draw(self):
+        # at m = 8 two points need an arccos gap of 1.1 * 5 pi / 8 = 2.16,
+        # and the edge margins leave pi - 2.16 = 0.98 of room
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(cli.ConfigError, match="do not fit"):
+            cli.random_separated_support(rng, 2, 8)
+        assert rng.bit_generator.state == state
+        # at m = 32 they fit
+        assert cli.random_separated_support(rng, 2, 32).size == 2
+
     def test_no_random_spikes_need_no_room(self, tmp_path):
         out = tmp_path / "out"
         cfg = {"m": 4, "out_dir": str(out),
@@ -246,8 +257,10 @@ class TestConfigErrors:
         ("recover-spline", {"spline": {"degree": 0, "knots": [0.0],
                                        "pieces": [[0.0], [float("inf")]]}}, {}),
         ("recover-spline", {"random_spline": {"jump_scale": float("nan")}}, {"d": 1}),
+        # m = 32, where two random knots fit, so the NaN boundary is what
+        # is rejected
         ("recover-spline", {"random_spline": {}},
-         {"d": 1, "boundary": [float("nan"), 0.0, 0.0, 0.0]})])
+         {"m": 32, "d": 1, "boundary": [float("nan"), 0.0, 0.0, 0.0]})])
     def test_bad_target_data(self, tmp_path, mode, target, extra):
         # each used to end in a traceback (exit 1), or in a solver error
         # (exit 3) once NaN moments reached the conic solver
@@ -593,8 +606,12 @@ class TestRecoverSpline:
 
     def test_cap_clipping_merges_near_duplicate_atoms(self, tmp_path,
                                                       monkeypatch):
-        # the located support has roots at 0.99983 and 1.0; clipping the
-        # second to the interior cap put it 5e-5 from the first
+        # the dual on [-1, 1] had level-set roots at 0.99983 and 1.0, and
+        # clipping the second to the interior cap put it 5e-5 from the
+        # first.  The dual is now solved on [-cap, cap], and the located
+        # support is the level set in u = t / cap scaled by cap.  Each
+        # exchange round makes another call, so only the first call's
+        # points, the located support, are checked
         from chebspike import blasso
         f = {"degree": 2,
              "knots": [-0.9608825852468489, -0.14251791243960354,
@@ -619,9 +636,23 @@ class TestRecoverSpline:
                "out_dir": str(tmp_path / "out"), "target": {"spline": f}}
         assert cli.main(["recover-spline", "--config",
                          write_cfg(tmp_path, "c.json", cfg)]) == cli.EXIT_OK
-        assert len(handed) == 1
+        assert handed
         theta = np.sort(np.arccos(handed[0]))
         assert np.diff(theta).min() > 0.5 / 32
+
+    def test_solution_records_certificate_and_exchange(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = {"m": 10, "sigma0": 0.0005, "seed": 3, "out_dir": str(out),
+               "target": {"spline": spline_to_dict(demo_spline())}}
+        assert cli.main(["recover-spline", "--config",
+                         write_cfg(tmp_path, "c.json", cfg)]) == cli.EXIT_OK
+        sol = json.loads((out / "solution.json").read_text())
+        run = json.loads((out / "run.json").read_text())
+        assert type(sol["exchange_rounds"]) is int and sol["exchange_rounds"] >= 0
+        assert 0.0 <= sol["certificate_gap_rel"] <= 1e-6
+        assert run["duality_gap_rel"] == sol["duality_gap_rel"] <= sol["certificate_gap_rel"]
+        # the dual is bounded on [-cap, cap], and so is the feasibility gap
+        assert sol["kkt_residuals"]["feasibility_gap"] <= 1e-6 * sol["lam"]
 
     def test_profile_schema(self, tmp_path):
         out = tmp_path / "out"

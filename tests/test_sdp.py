@@ -274,6 +274,15 @@ class TestFeasibleStart:
         assert sol.status == sdp.SdpStatus.SOLVED
         assert max(row["rp"] for row in sol.iteration_log) <= 1e-10
 
+    @pytest.mark.parametrize("m,d,scale", ASSEMBLED[::3])
+    def test_dual_residual_stays_at_roundoff(self, m, d, scale):
+        # one step length for every variable scales r_d, linear in the
+        # iterate, by 1 - step, as it does r_p; with unequal lengths r_d
+        # regrew to about 1e-9 at every step
+        log = sdp.solve(assembled(m, d, scale), tol=1e-9, max_iter=200).iteration_log
+        assert all(row["ap"] == row["ad"] for row in log)
+        assert max(row["rd"] for row in log) <= 1e-12
+
     def test_log_records_each_step(self):
         log = sdp.solve(assembled(32, 0, 1e4), tol=1e-9).iteration_log
         for row in log[:-1]:
@@ -281,6 +290,70 @@ class TestFeasibleStart:
             assert row["halvings"] in range(4)
         # no step is taken from the last iterate
         assert (log[-1]["ap"], log[-1]["ad"], log[-1]["halvings"]) == (0.0, 0.0, 0)
+
+
+class TestCapMatrix:
+    """The substitution t = c u of the interior mode: B maps the
+    coefficients of p to those of u -> p(c u)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 33, 129])
+    @pytest.mark.parametrize("c", [np.cos(0.5 / 32), np.cos(0.5)])
+    def test_maps_coefficients(self, n, c):
+        B = sdp.cap_matrix(n, c)
+        alpha = np.random.default_rng(n).standard_normal(n)
+        u = np.linspace(-1.0, 1.0, 101)
+        np.testing.assert_allclose(eval_poly(ChebPoly(B @ alpha), u),
+                                   eval_poly(ChebPoly(alpha), c * u),
+                                   rtol=0, atol=1e-13 * np.abs(alpha).sum())
+        # phi_k(c u) has degree k in u: interpolation leaves roundoff below
+        # the diagonal
+        assert np.abs(np.tril(B, -1)).max(initial=0.0) <= 1e-15 * n
+
+    def test_none_at_one(self):
+        assert sdp.cap_matrix(9, 1.0) is None
+        prob = program([0.3, -0.2, 0.1], 1.0)
+        assert prob.c == 1.0 and prob.B is None
+        np.testing.assert_array_equal(prob.F, np.vstack([np.diag(-sdp.trace_scale(3)),
+                                                         np.diag(sdp.trace_scale(3))]))
+
+    @pytest.mark.parametrize("c", [0.0, -0.5, 1.5])
+    def test_bound_outside_the_interval_rejected(self, c):
+        with pytest.raises(ValueError, match="c must lie in"):
+            dataclasses.replace(program([0.3, -0.2, 0.1], 1.0), c=c)
+        with pytest.raises(sdp.SdpError, match="c has non-finite"):
+            dataclasses.replace(program([0.3, -0.2, 0.1], 1.0), c=np.nan)
+
+    @pytest.mark.parametrize("m,d,scale", [(8, 0, 1.0), (32, 2, 1e4), (128, -1, 1.0)])
+    def test_capped_start_is_strictly_feasible(self, m, d, scale):
+        c = np.cos(0.5 / m)
+        prob = dataclasses.replace(assembled(m, d, scale), c=c)
+        n = m + 1
+        nu, x = prob.start_nu, prob.start_free
+        r_p = prob.h - prob.F @ x
+        for b, X in enumerate(prob.start_psd):
+            rows = slice(b * n, (b + 1) * n)
+            r_p[rows] -= [np.trace(X, offset=-k) for k in range(n)]
+            t = 0.5 * nu[rows]
+            t[0] *= 2.0
+            np.linalg.cholesky(-sla.toeplitz(t))
+        r_d = prob.F.T @ nu - prob.Q @ x - prob.y
+        assert np.abs(r_p).max() <= 1e-13 * prob.lam
+        mag_d = np.abs(prob.F.T) @ np.abs(nu) + np.abs(prob.y)
+        assert np.all(np.abs(r_d) <= 1e-13 * mag_d)
+
+    @pytest.mark.parametrize("m,d", [(8, 0), (32, 2)])
+    def test_solution_is_bounded_on_the_capped_interval(self, m, d):
+        from chebspike.chebyshev import abs_sup
+        c = np.cos(0.5 / m)
+        prob = dataclasses.replace(assembled(m, d, 1.0), c=c)
+        sol = sdp.solve(prob, tol=1e-9)
+        assert sol.status == sdp.SdpStatus.SOLVED
+        sup, _ = abs_sup(ChebPoly(sol.free_vector), c)
+        assert sup <= prob.lam * (1.0 + 1e-7)
+        # the bound holds on [-c, c] only: the uncapped program's optimum
+        # is a different point
+        free = sdp.solve(assembled(m, d, 1.0), tol=1e-9).free_vector
+        assert np.abs(free - sol.free_vector).max() > 1e-6 * np.abs(free).max()
 
 
 class TestNumericalFloor:
@@ -412,8 +485,9 @@ class TestCholeskyJitter:
 
 
 # moments y = 0.3 g with y_0 = 1, g standard normal from the seed, at lam 0.5
-# and d = -1: after 33 to 72 steps an accepted step once left an X half with
-# an eigenvalue near -5e-14, and the next factorization raised
+# and d = -1: under unequal primal and dual step lengths, after 33 to 72
+# steps an accepted step once left an X half with an eigenvalue near
+# -5e-14, and the next factorization raised
 INDEFINITE_STEP = [(9, 19), (17, 21), (17, 40), (17, 43)]
 
 
@@ -425,8 +499,25 @@ def indefinite_step_moments(n, seed):
 
 class TestPositiveDefiniteGuard:
     @pytest.mark.parametrize("n,seed", INDEFINITE_STEP)
-    def test_trial_that_cannot_factor_is_halved(self, n, seed):
+    def test_trial_that_cannot_factor_is_halved(self, n, seed, monkeypatch):
+        # under one step length these programs no longer reach a trial that
+        # does not factor, so one is made: the start's and the first step's
+        # factorizations are 2 * 4 stacked Cholesky calls, and calls 9 to 13
+        # fail, which are the second step's first trial (its stacked X of
+        # the even parity, then that stack's first slice and its three
+        # jittered retries)
+        real = np.linalg.cholesky
+        calls = []
+
+        def failing(M):
+            calls.append(None)
+            if 2 * 4 < len(calls) <= 2 * 4 + 5:
+                raise np.linalg.LinAlgError("made to fail")
+            return real(M)
+
+        monkeypatch.setattr(sdp.np.linalg, "cholesky", failing)
         sol = sdp.solve(program(indefinite_step_moments(n, seed), 0.5), tol=1e-9)
+        assert sol.iteration_log[1]["indefinite"] == 1
         assert sol.status == sdp.SdpStatus.SOLVED
         rows = [row for row in sol.iteration_log if row["indefinite"]]
         assert rows
