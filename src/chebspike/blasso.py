@@ -12,15 +12,15 @@ trace parameterization of nonnegative cosine polynomials.  cap is 1, or
 cos(0.5/m) when the support must stay inside (-1, 1) (interior mode): the
 substitution t = cap u (`sdp.cap_matrix`) states the constraint on
 [-1, 1] in u, so the dual solved is the one whose measure is sought.  The
-support is read off the level set |dual polynomial in u| = lam and scaled
-by cap.  One refinement stage follows: a weight fit with the exact
-low-order moments as constraints (`fit_weights`: it drops the
-sign-inconsistent atoms or, only when none is left, those below the
-amplitude floor, and refits), damped Newton steps on weights, positions
-and multipliers jointly with the analytic Hessian of the fixed-sign
-Lagrangian (the joint amplitude-position update of the sliding Frank-Wolfe
-step; `_lagrangian_newton` builds every fixed-sign KKT system), and a last
-weight fit at the refined positions.
+support is read off the maxima of |dual polynomial in u| that reach lam
+(`chebyshev.unit_level_roots`) and scaled by cap.  One refinement stage
+follows: a weight fit with the exact low-order moments as constraints
+(`fit_weights`: it drops the sign-inconsistent atoms or, only when none
+is left, those below the amplitude floor, and refits), damped Newton
+steps on weights, positions and multipliers jointly with the analytic
+Hessian of the fixed-sign Lagrangian (the joint amplitude-position update
+of the sliding Frank-Wolfe step; `_lagrangian_newton` builds every
+fixed-sign KKT system), and a last weight fit at the refined positions.
 
 The exchange (`_exchange`) then closes the recovery: while the subgradient
 polynomial p of the measure exceeds lam on [-cap, cap], it inserts the
@@ -55,7 +55,7 @@ from .observation import Observation
 from . import sdp
 
 
-# a level-set point must reach (1 - LEVEL_TOL) * lam to seed an atom
+# a maximum of |p| must reach (1 - LEVEL_TOL) * lam to seed an atom
 LEVEL_TOL = 1e-4
 # grid of the constant-dual path's nonnegative least-squares fit
 DEGENERATE_GRID = 512
@@ -363,14 +363,15 @@ def solve_blasso(obs: Observation, lam: float,
                  opts: BlassoOptions | None = None) -> PrimalSolution:
     """Run the full dual pipeline and return the recovered measure.
 
-    Steps: assemble the dual conic program on [-cap, cap], solve it, locate
-    the support on the level set of the dual polynomial, refine weights and
-    positions in one stage (`_refine_support`) with the exact low-order
-    moments as constraints and atoms below the amplitude floor pruned, run
-    the exchange (`_exchange`), and package the optimality diagnostics and
-    the certificate's duality gap.  A constant dual polynomial takes the
-    constant-dual path (`_degenerate_solution`) in place of the level-set
-    read-out, the refinement and the exchange.
+    Steps: assemble the dual conic program on [-cap, cap], solve it, read
+    the support off the maxima of |dual polynomial| that reach lam
+    (`unit_level_roots`), refine weights and positions in one stage
+    (`_refine_support`) with the exact low-order moments as constraints
+    and atoms below the amplitude floor pruned, run the exchange
+    (`_exchange`), and package the optimality diagnostics and the
+    certificate's duality gap.  A constant dual polynomial takes the
+    constant-dual path (`_degenerate_solution`) in place of the read-out,
+    the refinement and the exchange.
     """
     opts = opts or BlassoOptions()
     theta_cap = 0.5 / max(obs.m, 1) if opts.interior_support else 0.0
@@ -401,7 +402,7 @@ def solve_blasso(obs: Observation, lam: float,
     try:
         u = unit_level_roots(unit_poly, lam, LEVEL_TOL)
     except ConstantDualError:
-        # |p| is constant at lam on the locator's 4m-point grid, so p has
+        # |p| is constant at lam on the read-out's 4m-point grid, so p has
         # one sign and p(0) is not 0; the subgradient polynomial is then
         # -dual_poly itself
         sign = -float(np.sign(eval_poly(dual_poly, 0.0)))
@@ -410,7 +411,7 @@ def solve_blasso(obs: Observation, lam: float,
                                                    theta_cap))
         kkt = verify_first_order(sol)
     else:
-        # every located point has |p| >= lam (1 - LEVEL_TOL), so its sign
+        # every point read has |p| >= lam (1 - LEVEL_TOL), so its sign
         # is the weight's
         support, signs = cap * u, -np.sign(eval_poly(unit_poly, u))
         weights = np.zeros(0)

@@ -15,15 +15,11 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 SQRT2 = float(np.sqrt(2.0))
-# level-set candidates: the largest imaginary part of a root kept as real,
-# and the Newton steps of the polish to a maximizer of |p|
-ROOT_IMAG_TOL = 1e-3
-POLISH_STEPS = 40
 
 
 class ConstantDualError(Exception):
-    """A polynomial handed to the level-set locator is numerically constant
-    at the level height, so the level set is the whole interval."""
+    """A polynomial handed to `unit_level_roots` is numerically constant at
+    the level height, so every point of the interval reaches the level."""
 
 
 def _check_domain(t):
@@ -121,50 +117,27 @@ def endpoint_weight(k: int, l: int) -> float:
     return float(acc)
 
 
-def _polish_abs_maximum(tcoeffs, dc1, dc2, t0: float) -> float:
-    """Newton iteration on (p^2)' to move t0 to a nearby critical point of p^2,
-    clamped to [-1, 1].  Returns the refined point (falls back to t0)."""
-    t = float(t0)
-    for _ in range(POLISH_STEPS):
-        p = npcheb.chebval(t, tcoeffs)
-        p1 = npcheb.chebval(t, dc1)
-        p2 = npcheb.chebval(t, dc2)
-        g = p * p1
-        gp = p1 * p1 + p * p2
-        if gp == 0.0:
-            break
-        step = g / gp
-        t_new = t - step
-        if not (-1.0 <= t_new <= 1.0):
-            t_new = min(1.0, max(-1.0, t_new))
-        if abs(t_new - t) < 1e-15:
-            t = t_new
-            break
-        t = t_new
-    # keep the polished point only if it did not decrease |p|
-    if abs(npcheb.chebval(t, tcoeffs)) >= abs(npcheb.chebval(t0, tcoeffs)):
-        return t
-    return float(t0)
+def _critical_points(tc, c: float = 1.0) -> np.ndarray:
+    """The candidate extrema on [-c, c] of |p|, given by its T_k coefficients
+    tc: +-c and the real parts of the eigenvalues of the colleague matrix of
+    p' (Boyd, SIAM J. Numer. Anal. 2002) that lie in [-c, c].  A real root
+    that roundoff moved off the real axis is so kept, and a spurious one is
+    still a point of [-c, c], which cannot raise the sup."""
+    dc = npcheb.chebder(tc)
+    dc = npcheb.chebtrim(dc, tol=1e-14 * np.abs(dc).max())
+    crit = npcheb.chebroots(dc).real
+    return np.concatenate([crit[np.abs(crit) <= c], [-c, c]])
 
 
 def unit_level_roots(p: ChebPoly, level: float, tol: float) -> np.ndarray:
-    """Locate the points of [-1, 1] where |p| reaches the given level.
+    """The points of [-1, 1] where |p| reaches a level at its max: the
+    critical points of p (`_critical_points`) with |p| >= level * (1 - tol),
+    merged within 0.5/m in arccos distance to the one with the largest |p|.
+    A crossing of a level below the max is not a critical point.
 
-    Candidates are the real roots of level - p and of level + p, the
-    eigenvalues of two m x m colleague matrices (Boyd, SIAM J. Numer. Anal.
-    2002), polished to local maximizers of |p| by a Newton iteration on
-    (p^2)'.  Near-duplicates within 0.5/m in arccos distance are merged,
-    keeping the representative with the largest |p|.  A point is returned
-    only if |p| >= level * (1 - tol) there.
-
-    Tangential level-set points are double roots of level -+ p and the
-    eigenvalue solver splits them into close pairs, either real or complex
-    with imaginary parts on the order of the square root of the coefficient
-    error (machine eps plus whatever inexactness p carries); ROOT_IMAG_TOL
-    is sized generously so such pairs survive this filter, because the
-    value filter above is what finally discards stray candidates.
-
-    Raises ConstantDualError when |p| is numerically constant at the level.
+    Raises ConstantDualError when |p| is numerically constant at the level
+    on a 4m-point grid, which the critical values cannot tell: those of
+    level * T_m all equal the level too.
     """
     if level <= 0:
         raise ValueError("level must be positive")
@@ -180,50 +153,20 @@ def unit_level_roots(p: ChebPoly, level: float, tol: float) -> np.ndarray:
         return np.array([])
 
     tc = p.to_chebyshev_t()
-    roots = [np.zeros(0)]
-    for sign in (1.0, -1.0):
-        q = -sign * tc
-        q[0] += level
-        q = npcheb.chebtrim(q, tol=1e-14 * np.abs(q).max())
-        if q.size >= 2:
-            roots.append(npcheb.chebroots(q))
-    roots = np.concatenate(roots)
-    real = roots[np.abs(roots.imag) <= ROOT_IMAG_TOL].real
-    real = real[(real >= -1.0 - 1e-9) & (real <= 1.0 + 1e-9)]
-    # the endpoints can carry one-sided maxima that are not double roots
-    candidates = np.concatenate([np.clip(real, -1.0, 1.0), [-1.0, 1.0]])
-
-    dc1 = npcheb.chebder(tc)
-    dc2 = npcheb.chebder(dc1)
-    polished = []
-    for t0 in candidates:
-        if abs(t0) >= 1.0:
-            polished.append(float(t0))
-        else:
-            polished.append(_polish_abs_maximum(tc, dc1, dc2, t0))
-    polished = np.array(polished)
-    keep = np.abs(npcheb.chebval(polished, tc)) >= level * (1.0 - tol)
-    pts = np.sort(polished[keep])
+    pts = np.sort(_critical_points(tc))
+    vals = np.abs(npcheb.chebval(pts, tc))
+    keep = vals >= level * (1.0 - tol)
+    pts, vals = pts[keep], vals[keep]
     if pts.size == 0:
         return pts
-
-    return pts[merge_close(pts, np.abs(npcheb.chebval(pts, tc)), 0.5 / m)]
+    return pts[merge_close(pts, vals, 0.5 / m)]
 
 
 def abs_sup(p: ChebPoly, c: float = 1.0) -> tuple[float, float]:
-    """(sup |p| on [-c, c], a point where it is reached), 0 < c <= 1.
-
-    The candidates are the real roots of p' in [-c, c], the eigenvalues of
-    one colleague matrix (Boyd, SIAM J. Numer. Anal. 2002), and +-c.  The
-    real part of every eigenvalue in [-c, c] is taken: a real critical
-    point that roundoff moved off the real axis is then kept, and any other
-    candidate is still a point of [-c, c], which cannot raise the sup.
-    """
+    """(sup |p| on [-c, c], a point where it is reached), 0 < c <= 1, from
+    the critical points of p (`_critical_points`)."""
     tc = p.to_chebyshev_t()
-    dc = npcheb.chebder(tc)
-    dc = npcheb.chebtrim(dc, tol=1e-14 * np.abs(dc).max())
-    crit = npcheb.chebroots(dc).real
-    t = np.concatenate([crit[np.abs(crit) <= c], [-c, c]])
+    t = _critical_points(tc, c)
     vals = np.abs(npcheb.chebval(t, tc))
     i = int(np.argmax(vals))
     return float(vals[i]), float(t[i])

@@ -285,11 +285,11 @@ def run_recover_spikes(cfg: dict) -> dict:
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
     x = _measure_from_target(cfg, m, rng)
-    obs = simulate(x, m, d, sigma, seed)
+    # the noise and the prediction probes each draw from their own stream:
+    # default_rng(seed) gave the target
+    obs = simulate(x, m, d, sigma, [seed, 2])
     out = _out_dir(cfg)
     sol = solve_blasso(obs, lam, opts)
-    # the prediction probes draw from their own stream: default_rng(seed)
-    # already gave the noise
     report = recovery_report(sol.measure, x, lam, m, lam0=lam0,
                              prediction_trials=trials, seed=[seed, 1])
     write_json(out / "target.json", measure_to_dict(x))

@@ -8,8 +8,8 @@ import pytest
 from numpy.polynomial import chebyshev as npcheb
 
 from chebspike.blasso import LEVEL_TOL, solve_blasso
-from chebspike.chebyshev import (ChebPoly, ConstantDualError, _polish_abs_maximum,
-                                 abs_sup, arccos_distance, cheb_grid, endpoint_weight,
+from chebspike.chebyshev import (ChebPoly, ConstantDualError, abs_sup,
+                                 arccos_distance, cheb_grid, endpoint_weight,
                                  eval_phi, eval_poly, merge_close,
                                  unit_level_roots)
 from chebspike.measures import DiscreteMeasure
@@ -214,10 +214,32 @@ class TestUnitLevelRoots:
                 assert np.all(vals >= lam * (1.0 - tol))
 
 
+def _polish_abs_maximum(tcoeffs, dc1, dc2, t0):
+    """Newton iteration on (p^2)' to move t0 to a nearby critical point of
+    p^2, clamped to [-1, 1]; the polished point is kept only if |p| did not
+    decrease."""
+    t = float(t0)
+    for _ in range(40):
+        p = npcheb.chebval(t, tcoeffs)
+        p1 = npcheb.chebval(t, dc1)
+        gp = p1 * p1 + p * npcheb.chebval(t, dc2)
+        if gp == 0.0:
+            break
+        t_new = min(1.0, max(-1.0, t - p * p1 / gp))
+        done = abs(t_new - t) < 1e-15
+        t = t_new
+        if done:
+            break
+    if abs(npcheb.chebval(t, tcoeffs)) >= abs(npcheb.chebval(t0, tcoeffs)):
+        return t
+    return float(t0)
+
+
 def squared_level_roots(p, level, tol, imag_tol=1e-3):
     """Reference locator: the real roots of level^2 - p^2, one colleague
-    matrix of size 2m, then the same polish, level filter and merge as
-    `unit_level_roots` (which takes the roots of level - p and level + p)."""
+    matrix of size 2m, polished to maximizers of |p| by Newton steps on
+    (p^2)', then the same level filter and merge as `unit_level_roots`
+    (which takes the critical points of p)."""
     m = max(p.degree_bound, 1)
     tc = p.to_chebyshev_t()
     q = -npcheb.chebmul(tc, tc)
@@ -253,8 +275,8 @@ def dual_polynomial(m, seed):
 
 
 class TestLevelRootsAgainstSquared:
-    """The two degree-m root problems find the points the one degree-2m
-    problem finds."""
+    """The critical points of p at the level max |p| are the points the
+    degree-2m level-set problem finds."""
 
     @staticmethod
     def assert_same(p, lam, tol):
@@ -264,8 +286,10 @@ class TestLevelRootsAgainstSquared:
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
         return got
 
+    # only the level at the max: below it the level set is made of
+    # transversal crossings, which are not critical points
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("frac", [0.9, 1.0])
+    @pytest.mark.parametrize("frac", [1.0])
     def test_random_polynomials(self, sign, frac):
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -289,3 +313,31 @@ class TestLevelRootsAgainstSquared:
         p, lam = dual_polynomial(m, seed=m)
         pts = self.assert_same(ChebPoly(sign * p.coeffs), lam, LEVEL_TOL)
         assert pts.size >= 1
+
+
+class TestReadOutSharesTheSupCandidates:
+    """`unit_level_roots` at the max and `abs_sup` read one candidate set:
+    the critical points of p and the endpoints."""
+
+    @staticmethod
+    def assert_shared(p, level, tol):
+        pts = unit_level_roots(p, level, tol)
+        assert pts.size >= 1
+        assert np.abs(eval_poly(p, pts)).max() == abs_sup(p)[0]
+        dc = npcheb.chebder(p.to_chebyshev_t())
+        inner = pts[np.abs(pts) < 1.0]
+        assert np.all(np.abs(npcheb.chebval(inner, dc))
+                      <= 1e-10 * np.abs(dc).sum())
+
+    def test_random_polynomials(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            m = int(rng.integers(4, 129))
+            p = ChebPoly(rng.standard_normal(m + 1))
+            level = np.abs(eval_poly(p, cheb_grid(4 * m))).max()
+            self.assert_shared(p, level, 1e-3)
+
+    @pytest.mark.parametrize("m", [8, 32, 128])
+    def test_dual_polynomials(self, m):
+        p, lam = dual_polynomial(m, seed=m)
+        self.assert_shared(p, lam, LEVEL_TOL)

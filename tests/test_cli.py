@@ -562,6 +562,21 @@ class TestRecoverSpikes:
         rep = json.loads((out / "report.json").read_text())
         assert rep["prediction_margin"] is not None
 
+    def test_noise_does_not_replay_the_target_draws(self, tmp_path):
+        # the random target draws from default_rng(seed); the noise must
+        # not be that stream's first normals
+        from chebspike.measures import measure_from_dict, moments
+        out = tmp_path / "out"
+        cfg = {"m": 16, "sigma": 1e-3, "seed": 7, "out_dir": str(out),
+               "target": {"random_measure": {"n_spikes": 2}}}
+        assert cli.main(["recover-spikes", "--config",
+                         write_cfg(tmp_path, "c.json", cfg)]) == cli.EXIT_OK
+        x = measure_from_dict(json.loads((out / "target.json").read_text()))
+        y = json.loads((out / "observation.json").read_text())["y"]
+        noise = (np.array(y) - moments(x, 16)) / 1e-3
+        replay = np.random.default_rng(7).standard_normal(17)
+        assert np.abs(replay - noise).max() > 0.1
+
 
 class TestRecoverSpline:
     def test_noiseless_recovers_knots(self, tmp_path):
@@ -730,7 +745,7 @@ class TestSweep:
 
 
     def test_assert_fails_on_a_failing_report(self, tmp_path):
-        # row 0 completes but its report fails (lambda far below the
+        # both rows complete but their reports fail (lambda far below the
         # calibrated level): the sweep used to exit 0 under --assert
         out = tmp_path / "out"
         base = {"mode": "recover-spikes", "m": 16, "sigma": 1e-3,
@@ -742,7 +757,7 @@ class TestSweep:
         assert cli.main(["sweep", "--config", path]) == cli.EXIT_OK
         rows = [line.split(",") for line in
                 (out / "sweep.csv").read_text().splitlines()[1:]]
-        assert [(r[3], r[8]) for r in rows] == [("True", "False"), ("True", "True")]
+        assert [(r[3], r[8]) for r in rows] == [("True", "False"), ("True", "False")]
         result = json.loads((out / "sweep.json").read_text())
         assert (result["all_ok"], result["passes"]) == (True, False)
         assert cli.main(["sweep", "--config", path, "--assert"]) == cli.EXIT_ASSERT
